@@ -20,8 +20,6 @@ from .planar import (
     braid_act,
 )
 from .levy import (
-    FREE_UNITARY_N1,
-    Semigroup,
     fubm_moment,
     fubm_moments,
     state_at,
@@ -55,8 +53,6 @@ __all__ = [
     "decompose",
     "winding",
     "braid_act",
-    "FREE_UNITARY_N1",
-    "Semigroup",
     "fubm_moment",
     "fubm_moments",
     "state_at",

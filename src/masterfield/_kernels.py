@@ -1,4 +1,4 @@
-"""Sample-path kernels for Brownian motion on the unitary group.
+"""Sample-path kernel for Brownian motion on the unitary group.
 
 One step advances U by the Cayley retraction of an antihermitian Gaussian
 increment,
@@ -12,46 +12,21 @@ exact exponential exp(A) to fifth order; without it the plain Cayley map
 exp(A + A^3/12 + ...) carries a weak drift error linear in the step size,
 measurable against the Monte Carlo resolution at coarse step counts.
 
-Two interchangeable implementations: a numpy path batched across samples,
-and a per-sample compiled path used when numba is importable.  The
-environment variable MASTERFIELD_KERNEL selects ``numpy``, ``numba`` or
-``auto`` (the default: numba if available).  Both paths consume the
-per-sample RNG streams in the same order, so the choice does not change
-the sampled values beyond floating-point roundoff.
+The walk is batched across samples: every step draws one increment per
+sample from that sample's own stream and advances all samples at once,
+so a sample's values do not depend on the samples batched with it.
 """
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-__all__ = ["HAS_NUMBA", "kernel_choice", "step_grid", "evolve_unitaries"]
+__all__ = ["scalar_dtype", "step_grid", "evolve_unitaries"]
 
 
-def kernel_choice():
-    """Resolve MASTERFIELD_KERNEL to the kernel that will actually run."""
-    mode = os.environ.get("MASTERFIELD_KERNEL", "auto").strip().lower()
-    if mode not in ("auto", "numpy", "numba"):
-        raise ValueError(
-            f"MASTERFIELD_KERNEL must be one of auto, numpy, numba; got {mode!r}"
-        )
-    if mode == "numba" and not HAS_NUMBA:
-        raise RuntimeError("MASTERFIELD_KERNEL=numba but numba is not importable")
-    if mode == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return mode
-
-
-def _identity(N, scalars):
-    dtype = np.complex128 if scalars == "complex" else np.float64
-    return np.eye(N, dtype=dtype)
+def scalar_dtype(scalars):
+    """The matrix dtype of a field over ``complex`` (U(N)) or ``real`` (O(N)) scalars."""
+    return np.complex128 if scalars == "complex" else np.float64
 
 
 def step_grid(t, step_count):
@@ -60,13 +35,12 @@ def step_grid(t, step_count):
     return steps, t / steps
 
 
-def evolve_unitaries(gens, N, t, step_count, scalars="complex", kernel=None,
-                     start=None, dt=None):
+def evolve_unitaries(gens, N, t, step_count, scalars="complex", start=None, dt=None):
     """One Brownian-motion sample per generator, evolved for time t.
 
     Returns an (S, N, N) array, S = len(gens).  Each generator backs one
-    sample stream; a stream is consumed in (step-major) order regardless
-    of the kernel, so identical generators give identical samples.
+    sample stream, consumed in step-major order, so identical generators
+    give identical samples.
 
     ``start`` (S, N, N) is the matrix each sample starts from, the
     identity by default; each generator is read from the position it
@@ -78,7 +52,7 @@ def evolve_unitaries(gens, N, t, step_count, scalars="complex", kernel=None,
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     S = len(gens)
-    ident = _identity(N, scalars)
+    ident = np.eye(N, dtype=scalar_dtype(scalars))
     if start is None:
         U = np.broadcast_to(ident, (S, N, N)).copy()
     else:
@@ -89,81 +63,27 @@ def evolve_unitaries(gens, N, t, step_count, scalars="complex", kernel=None,
         steps, dt = step_grid(t, step_count)
     else:
         steps = round(t / dt)
-    which = kernel if kernel is not None else kernel_choice()
-    if which == "numba":
-        return _evolve_per_sample(gens, U, steps, dt, scalars)
     return _evolve_batched(gens, U, steps, dt, scalars)
 
 
 def _evolve_batched(gens, U, steps, dt, scalars):
     S, N = U.shape[0], U.shape[1]
-    ident = _identity(N, scalars)
+    ident = np.eye(N, dtype=U.dtype)
     if scalars == "complex":
-        scale = 0.5 * math.sqrt(dt / N)
-        raw = np.empty((S, N, N, 2))
-        for _ in range(steps):
-            for s, g in enumerate(gens):
-                raw[s] = g.standard_normal((N, N, 2))
+        # A = i (Z + Z*) / 2 sqrt(dt/N): a GUE increment of entry variance dt/N
+        draw, scale = (N, N, 2), 0.5 * math.sqrt(dt / N)
+    else:
+        # A = (Z - Z^T) sqrt(dt/2N): an antisymmetric increment of the same variance
+        draw, scale = (N, N), math.sqrt(dt / (2 * N))
+    raw = np.empty((S, *draw))
+    for _ in range(steps):
+        for s, g in enumerate(gens):
+            raw[s] = g.standard_normal(draw)
+        if scalars == "complex":
             Z = raw.view(np.complex128)[..., 0]
             A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * scale)
-            B = A - (A @ A @ A) / 12.0
-            U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
-    else:
-        scale = math.sqrt(dt / (2 * N))
-        raw = np.empty((S, N, N))
-        for _ in range(steps):
-            for s, g in enumerate(gens):
-                raw[s] = g.standard_normal((N, N))
+        else:
             A = (raw - raw.transpose(0, 2, 1)) * scale
-            B = A - (A @ A @ A) / 12.0
-            U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
-    return U
-
-
-def _cayley_path_complex(noise, scale, U0):
-    steps, N = noise.shape[0], noise.shape[1]
-    ident = np.zeros((N, N), np.complex128)
-    for i in range(N):
-        ident[i, i] = 1.0
-    U = U0.copy()
-    for s in range(steps):
-        Z = noise[s]
-        A = np.ascontiguousarray(Z + Z.conj().T) * (1j * scale)
         B = A - (A @ A @ A) / 12.0
-        U = np.ascontiguousarray(np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U)))
+        U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
     return U
-
-
-def _cayley_path_real(noise, scale, U0):
-    steps, N = noise.shape[0], noise.shape[1]
-    ident = np.zeros((N, N), np.float64)
-    for i in range(N):
-        ident[i, i] = 1.0
-    U = U0.copy()
-    for s in range(steps):
-        Z = noise[s]
-        A = np.ascontiguousarray(Z - Z.T) * scale
-        B = A - (A @ A @ A) / 12.0
-        U = np.ascontiguousarray(np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U)))
-    return U
-
-
-if HAS_NUMBA:
-    _cayley_path_complex = njit(cache=True)(_cayley_path_complex)
-    _cayley_path_real = njit(cache=True)(_cayley_path_real)
-
-
-def _evolve_per_sample(gens, U, steps, dt, scalars):
-    N = U.shape[1]
-    out = np.empty_like(U)
-    if scalars == "complex":
-        scale = 0.5 * math.sqrt(dt / N)
-        for s, g in enumerate(gens):
-            noise = g.standard_normal((steps, N, N, 2)).view(np.complex128)[..., 0]
-            out[s] = _cayley_path_complex(np.ascontiguousarray(noise), scale, U[s])
-    else:
-        scale = math.sqrt(dt / (2 * N))
-        for s, g in enumerate(gens):
-            noise = g.standard_normal((steps, N, N))
-            out[s] = _cayley_path_real(noise, scale, U[s])
-    return out

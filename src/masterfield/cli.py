@@ -32,6 +32,13 @@ def _fail(message):
     print(message, file=sys.stderr)
 
 
+def _below(name, value, least):
+    """True, after saying so on stderr, when an integer flag is under its least value."""
+    if value < least:
+        _fail(f"{name} must be >= {least}, got {value}")
+    return value < least
+
+
 def _read_corpus(source):
     """A loop-word list: the built-in corpus, or one word per line, # comments."""
     if source == "default":
@@ -70,6 +77,8 @@ def _field_from(args):
 
 
 def _run_eval(args):
+    if _below("power", args.k, 0):
+        return 2
     if args.constant:
         word = ""
     else:
@@ -167,6 +176,8 @@ def _sampler_config(args):
 
 
 def _run_mc(args):
+    if _below("power", args.k, 0):
+        return 2
     try:
         words = _read_corpus(args.loops)
         cfg = _sampler_config(args)
@@ -191,6 +202,8 @@ def _run_mc(args):
 
 
 def _run_compare_mc(args):
+    if _below("kmax", args.kmax, 1):
+        return 2
     try:
         words = _read_corpus(args.corpus)
         cfg = _sampler_config(args)

@@ -1,11 +1,11 @@
 """Holonomy fields on the plane and their invariance checks.
 
-A field pairs a marginal semigroup with one of the three product
-structures.  Evaluating it on a loop runs the pipeline: draw the loop's
-graph, pick a lasso basis from a spanning tree, decompose the loop into a
-word in the basis, attach to each lasso the semigroup state at its face
-area, combine the marginals with the chosen product, and take the moment
-of the word (raised to the requested power).
+A field pairs the free unitary Brownian motion marginals with one of the
+three product structures.  Evaluating it on a loop runs the pipeline:
+draw the loop's graph, pick a lasso basis from a spanning tree, decompose
+the loop into a word in the basis, attach to each lasso the semigroup
+state at its face area, combine the marginals with the chosen product,
+and take the moment of the word (raised to the requested power).
 
 The check_* operations verify the field's defining invariances: braid
 moves of the basis, area-preserving rearrangement, infinite divisibility
@@ -13,7 +13,7 @@ under face merges, and gauge conjugation by a free Haar unitary.
 """
 
 from .freeprob import haar_unitary_state, product_state
-from .levy import FREE_UNITARY_N1, Semigroup, fubm_moment, state_at
+from .levy import fubm_moment, state_at
 from .planar import (
     Loop,
     LassoWord,
@@ -55,42 +55,22 @@ DEFAULT_CORPUS = (
 
 
 class HolonomyField:
-    """A semigroup, a product structure, and the evaluation conventions."""
+    """A product structure and the evaluation conventions."""
 
     PRODUCTS = ("free", "boolean", "tensor")
 
-    def __init__(
-        self,
-        semigroup=None,
-        product="free",
-        n=1,
-        t_scale=1.0,
-        tree_priority="NESW",
-    ):
+    def __init__(self, product="free", t_scale=1.0, tree_priority="NESW"):
         if product not in self.PRODUCTS:
             raise ValueError(f"product must be one of {self.PRODUCTS}, got {product!r}")
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
         if t_scale <= 0:
             raise ValueError(f"t_scale must be positive, got {t_scale}")
-        self.semigroup = FREE_UNITARY_N1 if semigroup is None else semigroup
-        if not isinstance(self.semigroup, Semigroup):
-            raise TypeError("semigroup must be a levy.Semigroup")
         self.product = product
-        self.n = n
         self.t_scale = float(t_scale)
         self.tree_priority = tree_priority
         self._contexts = {}
 
-    @property
-    def exact(self):
-        return self.n == 1 and self.semigroup.exact
-
     def __repr__(self):
-        return (
-            f"HolonomyField(product={self.product!r}, n={self.n}, "
-            f"t_scale={self.t_scale}, semigroup={self.semigroup!r})"
-        )
+        return f"HolonomyField(product={self.product!r}, t_scale={self.t_scale})"
 
 
 class FieldValue:
@@ -117,7 +97,7 @@ class _LoopContext:
         self.basis = lasso_basis(graph, priority=field.tree_priority)
         self.letters = decompose(loop, self.basis).letters
         self.areas = tuple(l.face.area * field.t_scale for l in self.basis.lassos)
-        marginals = [state_at(field.semigroup, a) for a in self.areas]
+        marginals = [state_at(a) for a in self.areas]
         self.state = product_state(marginals, field.product) if marginals else None
 
     def moment(self, letters):
@@ -144,8 +124,6 @@ def evaluate(field, loop, k=1):
     loop = _as_loop(loop)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
-    if not field.exact:
-        raise RuntimeError("exact evaluation unavailable, use mc")
     if len(loop.word) == 0 or k == 0:
         return FieldValue(loop, k, 1.0, "exact")
     ctx = _context(field, loop)
@@ -271,10 +249,7 @@ def check_infinite_divisibility(field, pairs=None, kmax=5, tol=1e-10):
     for s, t in pairs:
         s_eff = s * field.t_scale
         t_eff = t * field.t_scale
-        split = product_state(
-            [state_at(field.semigroup, s_eff), state_at(field.semigroup, t_eff)],
-            field.product,
-        )
+        split = product_state([state_at(s_eff), state_at(t_eff)], field.product)
         for k in range(1, kmax + 1):
             merged = fubm_moment(s_eff + t_eff, k)
             got = split.moment(((0, 1), (1, 1)) * k)
@@ -328,9 +303,7 @@ def check_gauge_invariance_scalar(field, kmax=5, times=(0.5, 1.0, 2.0), tol=1e-1
     report = CheckReport("gauge invariance (scalar)", tol)
     for t in times:
         t_eff = t * field.t_scale
-        ps = product_state(
-            [haar_unitary_state(), state_at(field.semigroup, t_eff)], "free"
-        )
+        ps = product_state([haar_unitary_state(), state_at(t_eff)], "free")
         for k in range(1, kmax + 1):
             want = fubm_moment(t_eff, k)
             conj = ps.moment(((0, 1), (1, 1), (0, -1)) * k)

@@ -34,8 +34,6 @@ __all__ = [
     "fubm_moments",
     "fubm_moment",
     "MomentVector",
-    "Semigroup",
-    "FREE_UNITARY_N1",
     "state_at",
     "LevyAxiomReport",
     "check_levy_axioms",
@@ -120,65 +118,13 @@ def fubm_moments(t, kmax):
     return MomentVector(t, [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)])
 
 
-class Semigroup:
-    """A marginal semigroup: the exact n=1 kind, or an MC-backed block kind.
-
-    Only ``free_unitary_n1`` admits exact evaluation; the other kinds carry
-    the matrix size N, dimension n and (for the rectangular kind) the ratio
-    vector r, and defer all values to the sampler.
-    """
-
-    KINDS = ("free_unitary_n1", "classical_mc", "block_mc", "rectangular_mc")
-
-    def __init__(self, kind="free_unitary_n1", n=1, r=None, N=None):
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown semigroup kind {kind!r}")
-        if n < 1:
-            raise ValueError(f"dimension must be positive, got {n}")
-        if kind == "free_unitary_n1" and n != 1:
-            raise ValueError("the exact kind is one-dimensional")
-        if kind == "rectangular_mc":
-            if r is None or abs(sum(r) - 1.0) > 1e-12:
-                raise ValueError(f"rectangular kind needs ratios summing to 1, got {r}")
-        self.kind = kind
-        self.n = n
-        self.r = None if r is None else tuple(r)
-        self.N = N
-
-    @property
-    def exact(self):
-        return self.kind == "free_unitary_n1"
-
-    def __repr__(self):
-        extra = "".join(
-            f", {k}={v!r}" for k, v in (("n", self.n), ("r", self.r), ("N", self.N))
-            if v not in (None, 1)
-        )
-        return f"Semigroup({self.kind!r}{extra})"
-
-
-FREE_UNITARY_N1 = Semigroup("free_unitary_n1")
-
-
-def state_at(sg, t):
+def state_at(t):
     """The semigroup element at time t as a state on words over exponents +-1.
 
-    For the exact kind a word's value depends only on its net power.  For
-    MC-backed kinds the returned state refuses exact evaluation; the
-    ``estimator`` attribute carries what the sampler needs.
+    The element is unitary, so a word's value depends only on its net power.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    if not isinstance(sg, Semigroup):
-        raise TypeError(f"expected a Semigroup, got {type(sg).__name__}")
-    if not sg.exact:
-        def refuse(word):
-            raise RuntimeError("exact evaluation unavailable, use mc")
-
-        st = State(refuse, name=f"{sg.kind}(t={t})", tracial=True)
-        st.estimator = {"kind": sg.kind, "n": sg.n, "r": sg.r, "N": sg.N, "time": t}
-        return st
-
     cache = {}
 
     def mom(word):
@@ -219,7 +165,7 @@ class LevyAxiomReport:
         return out
 
 
-def check_levy_axioms(sg=None, kmax=6, times=(0.25, 0.5, 1.0, 2.0), tol=1e-9):
+def check_levy_axioms(kmax=6, times=(0.25, 0.5, 1.0, 2.0), tol=1e-9):
     """Verify the defining properties of the moment semigroup.
 
     Checks: identity at t=0; the free-convolution semigroup law (moments of
@@ -229,10 +175,6 @@ def check_levy_axioms(sg=None, kmax=6, times=(0.25, 0.5, 1.0, 2.0), tol=1e-9):
     Stationarity needs no separate check: the state depends on the time
     increment alone by construction.
     """
-    if sg is None:
-        sg = FREE_UNITARY_N1
-    if not sg.exact:
-        raise ValueError("axiom checks need the exact kind; MC-backed kinds have no exact values")
     report = LevyAxiomReport()
 
     ok = all(fubm_moment(0, k) == 1.0 for k in range(1, kmax + 1))
@@ -241,7 +183,7 @@ def check_levy_axioms(sg=None, kmax=6, times=(0.25, 0.5, 1.0, 2.0), tol=1e-9):
     worst = 0.0
     for s in times:
         for t in times:
-            ps = product_state([state_at(sg, s), state_at(sg, t)], "free")
+            ps = product_state([state_at(s), state_at(t)], "free")
             for k in range(1, kmax + 1):
                 word = ((0, 1), (1, 1)) * k
                 got = ps.moment(word)

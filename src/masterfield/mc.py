@@ -9,22 +9,22 @@ conditional expectation onto the span of the block projectors.
 
 Reproducibility: every sample owns a counter-based RNG stream spawned
 from the seed, so estimates are independent of the worker count, and a
-fixed (seed, config) pair reproduces values bit-for-bit under a fixed
-kernel choice.  Lasso slot k of a call reads its sample's stream from
-where slot k-1 stopped, so every lasso matrix is a prefix of one path per
-(start draw, step size).  A config keeps the paths evolved through it,
-and calls sharing a config take their matrices from those paths and
-evolve only what no earlier call did; the values are bit-for-bit those of
-a fresh config.  The paths are dropped when the config's seed, N,
-samples, step_count or field_scalars change, or the kernel choice does;
-copies and pickles of a config start without them, and
+fixed (seed, config) pair reproduces values bit-for-bit.  Lasso slot k of
+a call reads its sample's stream from where slot k-1 stopped, so every
+lasso matrix is a prefix of one path per (start draw, step size).  A
+config keeps the paths evolved through it, and calls sharing a config
+take their matrices from those paths and evolve only what no earlier call
+did; the values are bit-for-bit those of a fresh config.  The paths are
+dropped when the config's seed, N, samples, step_count or field_scalars
+change; copies and pickles of a config start without them, and
 ``sample_ubm_batch`` always evolves afresh.  Estimates from calls sharing
 a config are therefore correlated, as they already were through the
 shared streams (the first lasso of every loop of area 1 is the same
-matrix).  A config retains at most twice the path snapshots that its most demanding call needs: about
-two per unit of that call's total lasso area plus two per lasso, each
-one samples x N x N scalars (26 MB at N=64, 400 samples, complex) plus
-one generator state per sample; they are freed with the config.
+matrix).  A config retains at most twice the path snapshots that its
+most demanding call needs: about two per unit of that call's total lasso
+area plus two per lasso, each one samples x N x N scalars (26 MB at
+N=64, 400 samples, complex) plus one generator state per sample; they
+are freed with the config.
 """
 
 import math
@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._kernels import evolve_unitaries, kernel_choice, step_grid
+from ._kernels import evolve_unitaries, scalar_dtype, step_grid
 
 __all__ = [
     "MatrixSamplerConfig",
@@ -56,8 +56,10 @@ def default_workers():
     try:
         w = int(raw)
     except ValueError:
-        raise ValueError(f"MASTERFIELD_WORKERS must be an integer, got {raw!r}")
-    return max(1, w)
+        w = 0
+    if w < 1:
+        raise ValueError(f"MASTERFIELD_WORKERS must be an integer >= 1, got {raw!r}")
+    return w
 
 
 class MatrixSamplerConfig:
@@ -90,12 +92,15 @@ class MatrixSamplerConfig:
             raise ValueError(
                 f"field_scalars must be 'complex' or 'real', got {field_scalars!r}"
             )
+        workers = default_workers() if workers is None else int(workers)
+        if workers < 1:
+            raise ValueError(f"worker count must be at least 1, got {workers}")
         self.N = N
         self.samples = samples
         self.seed = seed
         self.step_count = step_count
         self.field_scalars = field_scalars
-        self.workers = default_workers() if workers is None else max(1, int(workers))
+        self.workers = workers
         self._paths = None  # a _PathStore: the paths evolved through this config
 
     def __getstate__(self):
@@ -191,7 +196,7 @@ def sample_ubm_batch(cfg, t):
     ``cfg``, and the array is the caller's own.
     """
     gens = _streams(cfg.seed, cfg.samples)
-    U = np.empty((cfg.samples, cfg.N, cfg.N), _dtype(cfg.field_scalars))
+    U = np.empty((cfg.samples, cfg.N, cfg.N), scalar_dtype(cfg.field_scalars))
 
     def work(lo, hi):
         U[lo:hi] = evolve_unitaries(gens[lo:hi], cfg.N, t, cfg.step_count, cfg.field_scalars)
@@ -219,7 +224,6 @@ class _PathStore:
 
     def __init__(self, cfg, key):
         self.key = key
-        self.kernel = key[-1]
         self.lock = threading.Lock()
         self.origin = (None, [g.bit_generator.state for g in _streams(cfg.seed, cfg.samples)])
         self.paths = {}
@@ -265,7 +269,7 @@ class _PathStore:
 
 def _store_key(cfg):
     """What the paths depend on; the store starts afresh when it changes."""
-    return (cfg.seed, cfg.N, cfg.samples, cfg.step_count, cfg.field_scalars, kernel_choice())
+    return (cfg.seed, cfg.N, cfg.samples, cfg.step_count, cfg.field_scalars)
 
 
 def _lasso_matrices(cfg, times):
@@ -279,13 +283,13 @@ def _lasso_matrices(cfg, times):
     store = cfg._paths
     if store is None or store.key != key:
         store = cfg._paths = _PathStore(cfg, key)
-    dtype = _dtype(cfg.field_scalars)
+    dtype = scalar_dtype(cfg.field_scalars)
     shape = (cfg.samples, cfg.N, cfg.N)
     with store.lock:
         try:
             mats, jobs = store.plan(times, cfg.step_count, shape, dtype)
             if jobs:
-                _run_jobs(jobs, cfg, store.kernel)
+                _run_jobs(jobs, cfg)
                 for *_, new in jobs:
                     for _, (U, _) in new:
                         U.flags.writeable = False
@@ -298,7 +302,7 @@ def _lasso_matrices(cfg, times):
     return mats
 
 
-def _run_jobs(jobs, cfg, kernel):
+def _run_jobs(jobs, cfg):
     """Fill the snapshots that ``_PathStore.plan`` laid out."""
     gens = _streams(cfg.seed, cfg.samples)
 
@@ -311,7 +315,7 @@ def _run_jobs(jobs, cfg, kernel):
             for end, (snap, snap_states) in new:
                 U = evolve_unitaries(
                     chunk, cfg.N, (end - n) * dt, cfg.step_count,
-                    cfg.field_scalars, kernel=kernel, start=U, dt=dt,
+                    cfg.field_scalars, start=U, dt=dt,
                 )
                 snap[lo:hi] = U
                 snap_states[lo:hi] = [g.bit_generator.state for g in chunk]
@@ -339,10 +343,6 @@ def _by_sample(cfg, work):
             ]
             for f in futs:
                 f.result()
-
-
-def _dtype(scalars):
-    return np.complex128 if scalars == "complex" else np.float64
 
 
 def _dagger(U):

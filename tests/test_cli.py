@@ -45,7 +45,7 @@ def test_eval_rejects_malformed_words(capsys):
     rc, _, err = run(capsys, ["eval", "--loop", "NE"])
     assert rc == 2 and "not closed" in err
     rc, _, err = run(capsys, ["eval", "--loop", "NESW", "--k", "-2"])
-    assert rc == 2 and "power" in err
+    assert rc == 2 and err == "power must be >= 0, got -2\n"
 
 
 def test_eval_product_selection(capsys):
@@ -152,6 +152,12 @@ def test_mc_missing_corpus_file(capsys):
 def test_mc_rejects_bad_sampler_config(capsys):
     rc, _, err = run(capsys, ["mc", "--loops", "default", "--steps", "10"])
     assert rc == 2 and "step_count too small" in err
+    rc, out, err = run(capsys, ["mc", "--loops", "default", "--k", "-1"])
+    assert rc == 2 and out == "" and "power must be >= 0" in err
+    rc, out, err = run(capsys, ["compare-mc", "--kmax", "0"])
+    assert rc == 2 and out == "" and "kmax must be >= 1" in err
+    rc, _, err = run(capsys, ["mc", "--loops", "default", "--workers", "-5"])
+    assert rc == 2 and "worker count must be at least 1" in err
 
 
 def test_compare_mc_small_pass(tmp_path, capsys):

@@ -16,7 +16,7 @@ from masterfield.holonomy import (
     evaluate,
     loop_observable,
 )
-from masterfield.levy import FREE_UNITARY_N1, Semigroup, fubm_moment, state_at
+from masterfield.levy import fubm_moment, state_at
 from masterfield.planar import Loop, build_graph, decompose, lasso_basis
 
 
@@ -75,7 +75,7 @@ def test_disjoint_product_is_a_homomorphism():
     two = Loop("NESW") * Loop("EENESWWW")
     lassos, letters = loop_observable(two)
     assert sorted(a for a, _ in lassos) == [1.0, 1.0]
-    marginals = [state_at(FREE_UNITARY_N1, 1.0), state_at(FREE_UNITARY_N1, 1.0)]
+    marginals = [state_at(1.0), state_at(1.0)]
     ps = product_state(marginals, "free")
     for k in range(1, 5):
         got = evaluate(FIELD, two, k).value
@@ -117,7 +117,7 @@ def test_subdivided_rectangle_dual_route():
     letters = decompose(rect, basis).letters
     areas = sorted(l.face.area for l in basis.lassos)
     assert areas == [1.0, 1.0]
-    marginals = [state_at(FREE_UNITARY_N1, 1.0) for _ in basis.lassos]
+    marginals = [state_at(1.0) for _ in basis.lassos]
     ps = product_state(marginals, "free")
     for k in range(1, 6):
         split = ps.moment(tuple(letters) * k)
@@ -197,20 +197,9 @@ def test_loop_observable_layout():
 def test_field_validation_and_inexact_refusal():
     with pytest.raises(ValueError, match="product"):
         HolonomyField(product="spherical")
-    with pytest.raises(ValueError, match="positive"):
-        HolonomyField(n=0)
     with pytest.raises(ValueError, match="t_scale"):
         HolonomyField(t_scale=0.0)
-    with pytest.raises(TypeError):
-        HolonomyField(semigroup="free_unitary_n1")
     with pytest.raises(ValueError, match="power"):
         evaluate(FIELD, "NESW", -1)
     with pytest.raises(ValueError):
         evaluate(FIELD, "NE")  # not closed
-
-    mc_field = HolonomyField(semigroup=Semigroup("classical_mc", N=8))
-    with pytest.raises(RuntimeError, match="use mc"):
-        evaluate(mc_field, "NESW", 1)
-    matrix_field = HolonomyField(n=2)
-    with pytest.raises(RuntimeError, match="use mc"):
-        evaluate(matrix_field, "NESW", 1)

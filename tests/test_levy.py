@@ -7,9 +7,7 @@ from scipy.integrate import solve_ivp
 
 from masterfield.freeprob import product_state
 from masterfield.levy import (
-    FREE_UNITARY_N1,
     KMAX,
-    Semigroup,
     check_levy_axioms,
     fubm_moment,
     fubm_moments,
@@ -100,7 +98,7 @@ def test_large_time_decay():
 
 
 def test_state_net_power_rule():
-    s = state_at(FREE_UNITARY_N1, 0.7)
+    s = state_at(0.7)
     assert s.moment(()) == 1
     assert s.moment((1, -1)) == 1.0
     assert s.moment((1, 1, -1)) == pytest.approx(fubm_moment(0.7, 1), abs=1e-15)
@@ -108,28 +106,9 @@ def test_state_net_power_rule():
     assert s.tracial
 
 
-def test_mc_backed_semigroup_refuses_exact():
-    sg = Semigroup("block_mc", n=2, N=64)
-    st = state_at(sg, 1.0)
-    with pytest.raises(RuntimeError, match="exact evaluation unavailable"):
-        st.moment((1,))
-    assert st.estimator["N"] == 64 and st.estimator["time"] == 1.0
-    with pytest.raises(ValueError):
-        check_levy_axioms(sg)
-    with pytest.raises(ValueError):
-        Semigroup("free_unitary_n1", n=2)
-    with pytest.raises(ValueError):
-        Semigroup("spherical")
-    with pytest.raises(ValueError):
-        Semigroup("rectangular_mc", n=2, r=(0.3, 0.3))
-    assert Semigroup("rectangular_mc", n=2, r=(0.25, 0.75), N=32).r == (0.25, 0.75)
-
-
 def test_free_convolution_is_the_semigroup():
     for s_t, t_t in [(0.25, 0.5), (1.0, 1.0), (0.3, 1.7)]:
-        ps = product_state(
-            [state_at(FREE_UNITARY_N1, s_t), state_at(FREE_UNITARY_N1, t_t)], "free"
-        )
+        ps = product_state([state_at(s_t), state_at(t_t)], "free")
         for k in range(1, 7):
             word = ((0, 1), (1, 1)) * k
             assert ps.moment(word) == pytest.approx(
@@ -157,8 +136,6 @@ def test_validation():
     with pytest.raises(ValueError):
         fubm_moment(-0.5, 2)
     with pytest.raises(ValueError):
-        state_at(FREE_UNITARY_N1, -1.0)
-    with pytest.raises(TypeError):
-        state_at(1.0, 1.0)
+        state_at(-1.0)
     with pytest.raises(ValueError):
-        state_at(FREE_UNITARY_N1, 1.0).moment((1,) * (KMAX + 1))
+        state_at(1.0).moment((1,) * (KMAX + 1))

@@ -1,13 +1,13 @@
 import copy
 import math
-import os
 import pickle
 
 import numpy as np
 import pytest
 
 from masterfield import DEFAULT_CORPUS, _kernels, loop_observable, mc
-from masterfield.levy import fubm_moment
+from masterfield.freeprob import State, product_state
+from masterfield.levy import fubm_moment, state_at
 from masterfield.mc import (
     BlockPartition,
     MatrixSamplerConfig,
@@ -73,35 +73,51 @@ def test_first_stream_consistency():
     assert np.array_equal(one, batch[0])
 
 
-def test_kernel_paths_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    cfg = cfg_small(samples=12)
-    old = os.environ.get("MASTERFIELD_KERNEL")
-    try:
-        os.environ["MASTERFIELD_KERNEL"] = "numpy"
-        U1 = sample_ubm_batch(cfg, 1.0)
-        os.environ["MASTERFIELD_KERNEL"] = "numba"
-        U2 = sample_ubm_batch(cfg, 1.0)
-    finally:
-        if old is None:
-            os.environ.pop("MASTERFIELD_KERNEL", None)
-        else:
-            os.environ["MASTERFIELD_KERNEL"] = old
-    assert np.abs(U1 - U2).max() < 1e-12
+GOLDEN_BATCH = {
+    "complex": [
+        [[0.9672988268653848 + 0.07541573613706702j, -0.055523453946672054 + 0.14215151937865464j,
+          0.000843650951602753 + 0.18802879072364714j],
+         [-0.09927401486296428 - 0.015217218481008763j, 0.5376907496172285 + 0.512029520672985j,
+          -0.5948575450342758 + 0.29115637565738295j],
+         [0.014069429108306471 + 0.21991044469740137j, 0.47871380314552564 + 0.44300972225627133j,
+          0.6313372157145446 - 0.35697373600271265j]],
+        [[0.8581294007584312 - 0.1699157689536192j, 0.22147894151834688 + 0.021793165883137493j,
+          -0.2515254104246951 + 0.3492129254627701j],
+         [-0.31090370557563507 + 0.23707004250358887j, 0.46125249356317777 - 0.6139816502492339j,
+          -0.2878340461485271 + 0.4178048743413985j],
+         [-0.07627425077439182 + 0.27579246271492874j, 0.36881586245328846 + 0.4740460592880372j,
+          0.5770201138170314 + 0.47373382579813683j]],
+    ],
+    "real": [
+        [[0.9616809010364709, -0.26498117643988883, -0.07039048738441046],
+         [0.1540118846013739, 0.7345080274240111, -0.6608920464427013],
+         [0.22682633000429045, 0.624726287090772, 0.7471725919990396]],
+        [[0.8602230807565974, 0.47992549973667203, -0.17230138141099005],
+         [-0.47623051322640186, 0.8769184377127358, 0.06495038007258667],
+         [0.1822656018170943, 0.026183359256621443, 0.9829006471115435]],
+    ],
+}
+
+GOLDEN_WILSON = [  # (mean, stderr) of the NESWNEESWNWS word to the powers 1, 2, 3
+    (0.20398620416986402 + 0.06256617670914749j, 0.07538285304255013),
+    (-0.2256910412093594 + 0.2640168298963521j, 0.11131148096660935),
+    (0.05908082927538601 - 0.08787194782900395j, 0.11135357987556627),
+]
 
 
-def test_kernel_env_validation():
-    old = os.environ.get("MASTERFIELD_KERNEL")
-    try:
-        os.environ["MASTERFIELD_KERNEL"] = "cuda"
-        with pytest.raises(ValueError):
-            _kernels.kernel_choice()
-    finally:
-        if old is None:
-            os.environ.pop("MASTERFIELD_KERNEL", None)
-        else:
-            os.environ["MASTERFIELD_KERNEL"] = old
+def test_stream_layout_golden_values():
+    # Pins the sampled values themselves: the per-sample streams, the order
+    # the kernel reads them in, and the Cayley step.
+    for scalars, want in GOLDEN_BATCH.items():
+        U = sample_ubm_batch(cfg_small(N=3, samples=2, field_scalars=scalars), 0.7)
+        assert U.dtype == (np.complex128 if scalars == "complex" else np.float64)
+        assert np.abs(U - np.array(want)).max() < 1e-12
+    lassos, letters = loop_observable("NESWNEESWNWS")
+    est = estimate_wilson_many(
+        lassos, [tuple(letters) * k for k in (1, 2, 3)], cfg_small(N=4, samples=3)
+    )
+    for e, (mean, stderr) in zip(est, GOLDEN_WILSON):
+        assert abs(e.mean - mean) < 1e-12 and abs(e.stderr - stderr) < 1e-12
 
 
 def test_trace_drift_matches_limit():
@@ -129,7 +145,7 @@ def test_richardson_halving():
     assert diff < band
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         MatrixSamplerConfig(N=1)
     with pytest.raises(ValueError):
@@ -138,6 +154,12 @@ def test_config_validation():
         MatrixSamplerConfig(step_count=20)
     with pytest.raises(ValueError):
         MatrixSamplerConfig(field_scalars="quaternion")
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="worker count"):
+            MatrixSamplerConfig(workers=workers)
+    monkeypatch.setenv("MASTERFIELD_WORKERS", "0")
+    with pytest.raises(ValueError, match="MASTERFIELD_WORKERS"):
+        MatrixSamplerConfig()
 
 
 def test_block_partition():
@@ -280,30 +302,6 @@ def test_failed_call_leaves_no_unfilled_snapshot(monkeypatch):
     assert estimate_wilson([(1.0, 1)], [(0, 1)], cfg).mean == fresh.mean
 
 
-def test_kernel_change_evolves_paths_afresh(monkeypatch):
-    # The paths a config keeps were made by one kernel; after a change of
-    # kernel choice a call must evolve with the new kernel, not return the
-    # old kernel's matrices.  The kernel asked for is recorded and the
-    # numpy kernel runs, so the test needs no numba.
-    cfg = cfg_small(N=4, samples=3)
-    used = []
-    evolve = mc.evolve_unitaries
-
-    def recorded(*args, **kwargs):
-        used.append(kwargs["kernel"])
-        return evolve(*args, **{**kwargs, "kernel": "numpy"})
-
-    monkeypatch.setattr(mc, "evolve_unitaries", recorded)
-    monkeypatch.setattr(mc, "kernel_choice", lambda: "numpy")
-    first = estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
-    estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
-    assert used == ["numpy"]
-    monkeypatch.setattr(mc, "kernel_choice", lambda: "numba")
-    second = estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
-    assert used == ["numpy", "numba"]
-    assert second.mean == first.mean
-
-
 def test_used_config_copies_without_its_paths():
     cfg = cfg_small(N=4, samples=3)
     est = estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
@@ -413,9 +411,11 @@ def test_entry_word_validation():
 
 def test_block_moments_drift_toward_reference():
     # Normalized trace of the (0,0) block power drifts toward the large-N
-    # reference as N grows (desk-scale version of the convergence claim).
+    # value as N grows (desk-scale version of the convergence claim).
     # The 1/N^2 drift only rises above sampling noise at small N, so the
     # sweep stops at N=8; seeds are frozen, making the check deterministic.
+    # The large-N value is the free compression: a projection p of trace
+    # 1/2 free from u_t, and tau((p u_t p)^k) / tau(p).
     t = 2.0
     k = 2
 
@@ -429,7 +429,10 @@ def test_block_moments_drift_toward_reference():
             M = M @ blk
         return np.einsum("sii->s", M).mean() / d
 
-    ref = block_moment(64, 600, seed=900)
+    proj = State(lambda word: 0.5, name="projection")
+    compressed = product_state([proj, state_at(t)], "free")
+    ref = compressed.moment(((0, "p"), (1, 1)) * k) / 0.5
+    assert ref == 0.0
     errs = [abs(block_moment(N, 6000, seed=900 + N) - ref) for N in (4, 6, 8)]
     assert errs[0] > errs[1] > errs[2]
 
