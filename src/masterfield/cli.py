@@ -22,6 +22,7 @@ from .holonomy import (
 )
 from .levy import fubm_moments
 from .mc import MatrixSamplerConfig, estimate_wilson_many
+from .planar import Loop
 
 
 def _fmt(x):
@@ -79,21 +80,21 @@ def _field_from(args):
 def _run_eval(args):
     if _below("power", args.k, 0):
         return 2
-    if args.constant:
-        word = ""
-    else:
-        if not args.loop:
-            _fail(
-                "not a loop: empty word allowed only as explicit constant "
-                "`eval --constant`"
-            )
-            return 2
-        word = args.loop
+    if not args.constant and not args.loop:
+        _fail(
+            "not a loop: empty word allowed only as explicit constant "
+            "`eval --constant`"
+        )
+        return 2
     try:
-        field = _field_from(args)
-        result = evaluate(field, word, args.k)
+        loop = Loop("" if args.constant else args.loop)
     except ValueError as exc:
-        _fail(f"not a loop: {exc}" if not args.constant else str(exc))
+        _fail(f"not a loop: {exc}")
+        return 2
+    try:
+        result = evaluate(_field_from(args), loop, args.k)
+    except ValueError as exc:
+        _fail(str(exc))
         return 2
     with _Output(args.out) as out:
         out.writerow(["loop", "k", "value", "method"])
@@ -211,20 +212,28 @@ def _run_compare_mc(args):
         _fail(str(exc))
         return 2
     field = HolonomyField(t_scale=args.t_scale)
-    first_bad = None
-    rows = []
+    powers = list(range(1, args.kmax + 1))
+    # every exact value first, so that unusable input exits before sampling
+    jobs = []
     for word in words:
         try:
             lassos, letters = loop_observable(word, t_scale=args.t_scale)
         except ValueError as exc:
             _fail(f"not a loop: {word!r}: {exc}")
             return 2
-        powers = list(range(1, args.kmax + 1))
+        try:
+            exacts = [evaluate(field, word, k).value for k in powers]
+        except ValueError as exc:
+            _fail(f"cannot evaluate {word!r} to k={args.kmax}: {exc}")
+            return 2
+        jobs.append((word, lassos, letters, exacts))
+    first_bad = None
+    rows = []
+    for word, lassos, letters, exacts in jobs:
         estimates = estimate_wilson_many(
             lassos, [tuple(letters) * k for k in powers], cfg
         )
-        for k, est in zip(powers, estimates):
-            exact = evaluate(field, word, k).value
+        for k, exact, est in zip(powers, exacts, estimates):
             err = abs(est.mean - exact)
             bound = 3.0 * est.stderr
             ok = err <= bound

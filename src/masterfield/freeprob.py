@@ -13,6 +13,20 @@ state on words of ``(factor, symbol)`` letters by one of three products:
 The free product has two independent implementations: the centering
 recursion itself, and a first-block expansion through noncrossing cumulants
 which is fast on long words.  Both are exposed (``method=``) and must agree.
+The expansion writes the moment of a word as a sum over chains
+``i = v0 < v1 < ...`` of same-factor blocks: the factor's joint cumulant of
+the chain's blocks times the moments of the gaps between them.  It walks
+the chains depth first, each carrying the running product of its gap
+moments, so a chain costs one multiplication more than its parent and a
+zero gap prunes all its extensions.  A gap's moment is memoised on the
+product state by the gap's block content, so a subword that recurs at other
+positions of a periodic word, or at another power of the same loop, is
+computed once.  Joint cumulants of a marginal are the same first-block
+expansion, walked the same way.  For a marginal of one unitary (the face
+states of :mod:`masterfield.levy` and the Haar unitary) a word's moment
+depends only on its net power: each word is reduced to that net power on
+entry, cumulants are memoised on the tuple of nets, and gap moments come
+from a per-state table indexed by |net|, filled as far as a call needs.
 
 Moment-cumulant transforms sum over noncrossing partitions; cumulants of
 products of consecutive letters sum over partitions whose join with the
@@ -290,6 +304,8 @@ class State:
         self.tracial = tracial
         self._moments = {}
         self._cumulants = {}
+        # moments by |net power|, for states of one unitary (see _unitary_state)
+        self._net_moments = None
 
     def moment(self, word):
         word = tuple(word)
@@ -300,7 +316,12 @@ class State:
         return self._moments[word]
 
     def joint_cumulant(self, words):
-        """Free cumulant of a tuple of this state's own words (memoised)."""
+        """Free cumulant of a tuple of this state's own words (memoised).
+
+        For a state of one unitary each word is reduced to its net power.
+        """
+        if self._net_moments is not None:
+            return self._net_cumulant(tuple(map(sum, words)))
         words = tuple(tuple(w) for w in words)
         memo = self._cumulants
         if words in memo:
@@ -310,25 +331,82 @@ class State:
             val = self.moment(words[0])
         else:
             val = self.moment(sum(words, ()))
-            rest = list(range(1, m))
-            for r in range(m - 1):
-                for others in combinations(rest, r):
-                    V = (0,) + others
-                    sub = self.joint_cumulant(tuple(words[i] for i in V))
-                    if sub == 0:
-                        continue
-                    prod = sub
-                    bounds = list(V) + [m]
-                    for a, b in zip(bounds, bounds[1:]):
-                        gap = sum(words[a + 1 : b], ())
-                        if gap:
-                            prod *= self.moment(gap)
-                    val -= prod
+
+            def gap(a, b):
+                return self.moment(sum(words[a:b], ()))
+
+            for chain, prod in _chains(range(m), gap):
+                if len(chain) < m:  # the full chain is this cumulant itself
+                    sub = self.joint_cumulant(tuple(words[i] for i in chain))
+                    val -= sub * prod * gap(chain[-1] + 1, m)
         memo[words] = val
         return val
 
+    def _net_cumulant(self, nets):
+        """Free cumulant of words of one unitary, given by their net powers."""
+        memo = self._cumulants
+        val = memo.get(nets)
+        if val is not None:
+            return val
+        m = len(nets)
+        prefix = [0]
+        for n in nets:
+            prefix.append(prefix[-1] + n)
+        # every gap is an interval of nets[1:], plus the whole word's total
+        inner = prefix[1:]
+        table = self._net_moments_to(max(max(inner) - min(inner), abs(prefix[m])))
+        val = table[abs(prefix[m])]
+        if m > 1:
+            total = prefix[m]
+            # depth-first over chains 0 = v0 < v1 < ... < vr, each carrying
+            # the product of the gap moments between its members
+            stack = [(0, (nets[0],), 1)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                v, chosen, prod = pop()
+                start = prefix[v + 1]
+                if len(chosen) < m:
+                    tail = table[abs(total - start)]
+                    if tail:
+                        kap = memo.get(chosen)
+                        if kap is None:
+                            kap = self._net_cumulant(chosen)
+                        val -= kap * prod * tail
+                for w in range(v + 1, m):
+                    g = table[abs(prefix[w] - start)]
+                    if g:
+                        push((w, chosen + (nets[w],), prod * g))
+        memo[nets] = val
+        return val
+
+    def _net_moments_to(self, n):
+        """The moment table by |net power|, filled up to ``n`` if need be."""
+        table = self._net_moments
+        while len(table) <= n:
+            table.append(self._moment_fn((1,) * len(table)))
+        return table
+
     def __repr__(self):
         return f"State({self.name})"
+
+
+def _chains(members, gap):
+    """Chains ``members[0] = v0 < v1 < ... < vr`` of ``members``, depth first.
+
+    Yields ``(chain, prod)`` with ``prod`` the product of ``gap(v + 1, w)``
+    over consecutive members ``v, w``; each chain extends its parent's
+    product by one factor, and a chain whose product is zero is skipped with
+    all its extensions.
+    """
+    stack = [((members[0],), 1, 1)]
+    while stack:
+        chain, prod, nxt = stack.pop()
+        yield chain, prod
+        v = chain[-1]
+        for q in range(nxt, len(members)):
+            g = gap(v + 1, members[q])
+            if g:
+                stack.append((chain + (members[q],), prod * g, q + 1))
 
 
 class DictState(State):
@@ -338,13 +416,23 @@ class DictState(State):
         super().__init__(lambda w: table[w], name=name, tracial=tracial)
 
 
+def _unitary_state(moment_fn, name):
+    """A tracial state on words over the exponents +-1 of one unitary.
+
+    Its cumulants take the net-power route of :meth:`State.joint_cumulant`.
+    """
+    state = State(moment_fn, name=name, tracial=True)
+    state._net_moments = [1]
+    return state
+
+
 def haar_unitary_state():
     """Moments of a Haar unitary: words over exponents +-1, mean net power."""
 
     def mom(word):
         return 1 if sum(word) == 0 else 0
 
-    return State(mom, name="haar_unitary", tracial=True)
+    return _unitary_state(mom, "haar_unitary")
 
 
 def semicircle_state():
@@ -404,6 +492,7 @@ class ProductState(State):
         self.method = method
         self.tracial_all = all(s.tracial for s in self.factors)
         self._free_memo = {}
+        self._gap_memo = {}
         super().__init__(
             self._moment_of_word,
             name=f"{kind}({', '.join(s.name for s in self.factors)})",
@@ -483,9 +572,12 @@ class ProductState(State):
         return total
 
     def _free_cumulant_dp(self, blocks):
-        """First-block expansion over same-factor cumulants, gap by gap."""
-        p = len(blocks)
-        memo = {}
+        """First-block expansion over same-factor cumulants, gap by gap.
+
+        ``seg(i, j)`` is the moment of the subword ``blocks[i:j]``, memoised
+        on the product by that subword rather than by its position.
+        """
+        memo = self._gap_memo
 
         def seg(i, j):
             if i == j:
@@ -493,31 +585,22 @@ class ProductState(State):
             if j - i == 1:
                 f, syms = blocks[i]
                 return self.factors[f].moment(syms)
-            if (i, j) in memo:
-                return memo[(i, j)]
-            f0 = blocks[i][0]
-            others = [q for q in range(i + 1, j) if blocks[q][0] == f0]
-            total = 0
-            for r in range(len(others) + 1):
-                for chosen in combinations(others, r):
-                    V = (i,) + chosen
-                    kap = self.factors[f0].joint_cumulant(
-                        tuple(blocks[q][1] for q in V)
-                    )
-                    if kap == 0:
-                        continue
-                    prod = kap
-                    bounds = list(V) + [j]
-                    for a, b in zip(bounds, bounds[1:]):
-                        if prod == 0:
-                            break
-                        if b > a + 1:
-                            prod *= seg(a + 1, b)
-                    total += prod
-            memo[(i, j)] = total
-            return total
+            key = blocks[i:j]
+            val = memo.get(key)
+            if val is None:
+                f0 = blocks[i][0]
+                state = self.factors[f0]
+                members = [q for q in range(i, j) if blocks[q][0] == f0]
+                val = 0
+                for chain, prod in _chains(members, seg):
+                    tail = seg(chain[-1] + 1, j)
+                    if tail:
+                        words = tuple(blocks[q][1] for q in chain)
+                        val += state.joint_cumulant(words) * prod * tail
+                memo[key] = val
+            return val
 
-        return seg(0, p)
+        return seg(0, len(blocks))
 
 
 def product_state(factors, kind, method="auto"):

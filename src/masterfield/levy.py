@@ -26,7 +26,7 @@ from math import exp
 
 import numpy as np
 
-from .freeprob import State, product_state
+from .freeprob import _unitary_state, product_state
 
 __all__ = [
     "KMAX",
@@ -135,7 +135,7 @@ def state_at(t):
             cache[net] = fubm_moment(t, net)
         return cache[net]
 
-    return State(mom, name=f"fubm(t={t})", tracial=True)
+    return _unitary_state(mom, f"fubm(t={t})")
 
 
 class LevyAxiomReport:

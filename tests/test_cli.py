@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from masterfield import cli
 from masterfield.cli import main
 
 
@@ -201,3 +202,27 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_EVAL
+
+
+def test_eval_reports_the_power_cap_plainly(capsys):
+    rc, out, err = run(capsys, ["eval", "--loop", "NESW", "--k", "21"])
+    assert rc == 2 and out == ""
+    assert err == "word net power 21 exceeds supported order 20\n"
+
+
+def test_compare_mc_power_cap_exits_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran before the exact values were checked")
+
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_sampling)
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("NESW\n")
+    rc, out, err = run(
+        capsys,
+        ["compare-mc", "--corpus", str(corpus), "--N", "2", "--samples", "2",
+         "--kmax", "21"],
+    )
+    assert rc == 2 and out == ""
+    assert err == (
+        "cannot evaluate 'NESW' to k=21: word net power 21 exceeds supported order 20\n"
+    )

@@ -6,10 +6,14 @@ reconstruction of product cumulants that never touches the partition-join
 formula used by the implementation.
 """
 
+import itertools
 import zlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from masterfield.freeprob import (
     CumulantTable,
@@ -26,6 +30,8 @@ from masterfield.freeprob import (
     product_state,
     semicircle_state,
 )
+from masterfield.levy import KMAX, fubm_moment, state_at
+from masterfield.planar import build_graph, decompose, lasso_basis, random_loop
 
 
 def all_set_partitions(k):
@@ -316,3 +322,63 @@ def test_cumulant_table_dump():
     t[()] = 1
     assert t.dump() == "1 : 1\nx : 1/2\nx y : 3"
     assert ("x",) in t and t.get(("z",), 0) == 0
+
+
+def subset_cumulant(moment, words, memo):
+    """Free cumulant by the first-block expansion over every subset of positions.
+
+    A plain copy of the expansion the library used before it keyed unitary
+    cumulants by net powers and walked chains: each proper subset V holding
+    position 0 contributes kappa(V) times the moments of the gap subwords.
+    """
+    if words in memo:
+        return memo[words]
+    m = len(words)
+    val = moment(sum(words, ()))
+    if m > 1:
+        for r in range(m - 1):
+            for others in itertools.combinations(range(1, m), r):
+                V = (0,) + others
+                prod = subset_cumulant(moment, tuple(words[i] for i in V), memo)
+                bounds = list(V) + [m]
+                for a, b in zip(bounds, bounds[1:]):
+                    prod *= moment(sum(words[a + 1 : b], ()))
+                val -= prod
+    memo[words] = val
+    return val
+
+
+_unitary_words = st.lists(
+    st.tuples(st.integers(-3, 3), st.booleans()), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unitary_words, st.sampled_from([0.5, 1.0, 2.0]))
+def test_unitary_cumulant_kernel_matches_subset_expansion(spec, t):
+    # each word has net power n; some carry a cancelling (1, -1) pair too
+    words = tuple((1 if n > 0 else -1,) * abs(n) + (1, -1) * pad for n, pad in spec)
+    assume(abs(sum(n for n, _ in spec)) <= KMAX)
+
+    def moment(word):
+        return fubm_moment(t, sum(word)) if word else 1
+
+    want = subset_cumulant(moment, words, {})
+    got = state_at(t).joint_cumulant(words)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_free_centering_equals_cumulant_on_random_loops(seed, k):
+    rng = np.random.default_rng(seed)
+    # a product of two random loops draws two or three faces most of the time
+    loop = random_loop(rng, max_len=8) * random_loop(rng, max_len=8)
+    assume(loop.word)
+    basis = lasso_basis(build_graph([loop]))
+    word = tuple(decompose(loop, basis).letters) * k
+    values = []
+    for method in ("centering", "cumulant"):
+        marginals = [state_at(l.face.area) for l in basis.lassos]
+        values.append(product_state(marginals, "free", method=method).moment(word))
+    assert values[1] == pytest.approx(values[0], rel=1e-12, abs=1e-12)

@@ -203,3 +203,9 @@ def test_field_validation_and_inexact_refusal():
         evaluate(FIELD, "NESW", -1)
     with pytest.raises(ValueError):
         evaluate(FIELD, "NE")  # not closed
+
+
+def test_longest_corpus_loop_at_power_seven():
+    # recorded with the subset expansion the cumulant route replaced
+    value = evaluate(HolonomyField(), "NESWNEESWNWSEENESWWW", 7).value
+    assert value == pytest.approx(0.016963485416296217, abs=1e-12)
