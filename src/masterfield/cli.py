@@ -176,22 +176,37 @@ def _sampler_config(args):
     )
 
 
-def _run_mc(args):
-    if _below("power", args.k, 0):
-        return 2
+def _sampler_jobs(args, source):
+    """The sampler config and a ``(word, lassos, letters)`` job per loop.
+
+    None, after saying why on stderr, if the corpus, config or a loop is bad.
+    """
     try:
-        words = _read_corpus(args.loops)
+        words = _read_corpus(source)
         cfg = _sampler_config(args)
     except (OSError, ValueError) as exc:
         _fail(str(exc))
-        return 2
-    rows = []
+        return None
+    jobs = []
     for word in words:
         try:
             lassos, letters = loop_observable(word, t_scale=args.t_scale)
         except ValueError as exc:
             _fail(f"not a loop: {word!r}: {exc}")
-            return 2
+            return None
+        jobs.append((word, lassos, letters))
+    return cfg, jobs
+
+
+def _run_mc(args):
+    if _below("power", args.k, 0):
+        return 2
+    loaded = _sampler_jobs(args, args.loops)
+    if loaded is None:
+        return 2
+    cfg, jobs = loaded
+    rows = []
+    for word, lassos, letters in jobs:
         est = estimate_wilson_many(lassos, [tuple(letters) * args.k], cfg)[0]
         rows.append(
             [word, _fmt(est.mean.real), _fmt(est.mean.imag), _fmt(est.stderr)]
@@ -205,22 +220,15 @@ def _run_mc(args):
 def _run_compare_mc(args):
     if _below("kmax", args.kmax, 1):
         return 2
-    try:
-        words = _read_corpus(args.corpus)
-        cfg = _sampler_config(args)
-    except (OSError, ValueError) as exc:
-        _fail(str(exc))
+    loaded = _sampler_jobs(args, args.corpus)
+    if loaded is None:
         return 2
+    cfg, loops = loaded
     field = HolonomyField(t_scale=args.t_scale)
     powers = list(range(1, args.kmax + 1))
     # every exact value first, so that unusable input exits before sampling
     jobs = []
-    for word in words:
-        try:
-            lassos, letters = loop_observable(word, t_scale=args.t_scale)
-        except ValueError as exc:
-            _fail(f"not a loop: {word!r}: {exc}")
-            return 2
+    for word, lassos, letters in loops:
         try:
             exacts = [evaluate(field, word, k).value for k in powers]
         except ValueError as exc:

@@ -10,10 +10,9 @@ state on words of ``(factor, symbol)`` letters by one of three products:
 * ``free``    - defined by the centering recursion: alternating products of
   mean-zero blocks have zero expectation.
 
-The free product has two independent implementations: the centering
-recursion itself, and a first-block expansion through noncrossing cumulants
-which is fast on long words.  Both are exposed (``method=``) and must agree.
-The expansion writes the moment of a word as a sum over chains
+The free product is computed by the first-block expansion through
+noncrossing cumulants; the test suite keeps the centering recursion as its
+oracle.  The expansion writes the moment of a word as a sum over chains
 ``i = v0 < v1 < ...`` of same-factor blocks: the factor's joint cumulant of
 the chain's blocks times the moments of the gaps between them.  It walks
 the chains depth first, each carrying the running product of its gap
@@ -22,16 +21,18 @@ zero gap prunes all its extensions.  A gap's moment is memoised on the
 product state by the gap's block content, so a subword that recurs at other
 positions of a periodic word, or at another power of the same loop, is
 computed once.  Joint cumulants of a marginal are the same first-block
-expansion, walked the same way.  For a marginal of one unitary (the face
-states of :mod:`masterfield.levy` and the Haar unitary) a word's moment
-depends only on its net power: each word is reduced to that net power on
-entry, cumulants are memoised on the tuple of nets, and gap moments come
-from a per-state table indexed by |net|, filled as far as a call needs.
+expansion, walked the same way, and :func:`cumulants_from_moments` is that
+expansion on a state built from a moment table.  For a marginal of one
+unitary (the face states of :mod:`masterfield.levy` and the Haar unitary) a
+word's moment depends only on its net power: each word is reduced to that
+net power on entry, cumulants are memoised on the tuple of nets, and gap
+moments come from a per-state table indexed by |net|, filled as far as a
+call needs.
 
 Moment-cumulant transforms sum over noncrossing partitions; cumulants of
-products of consecutive letters sum over partitions whose join with the
-grouping is full, which is equivalent to the first-block expansion used in
-:func:`cumulants_of_products`'s brute-force companion in the test suite.
+products of consecutive letters (:func:`cumulants_of_products`) sum over
+partitions whose join with the grouping is full.  The test suite checks the
+latter against a reconstruction from the two transforms alone.
 """
 
 from __future__ import annotations
@@ -47,12 +48,10 @@ __all__ = [
     "enumerate_nc_matchings",
     "is_noncrossing",
     "catalan",
-    "CumulantTable",
     "moments_from_cumulants",
     "cumulants_from_moments",
     "cumulants_of_products",
     "State",
-    "DictState",
     "haar_unitary_state",
     "semicircle_state",
     "product_state",
@@ -143,39 +142,6 @@ def is_noncrossing(partition):
     return True
 
 
-class CumulantTable:
-    """A word-indexed table of numbers (joint cumulants or moments)."""
-
-    def __init__(self, entries=None):
-        self.entries = dict(entries) if entries else {}
-
-    def __getitem__(self, word):
-        return self.entries[tuple(word)]
-
-    def __setitem__(self, word, value):
-        self.entries[tuple(word)] = value
-
-    def get(self, word, default=0):
-        return self.entries.get(tuple(word), default)
-
-    def __contains__(self, word):
-        return tuple(word) in self.entries
-
-    def __eq__(self, other):
-        return isinstance(other, CumulantTable) and self.entries == other.entries
-
-    def dump(self):
-        """One sorted line per word: ``word : value``."""
-        lines = []
-        for w in sorted(self.entries, key=lambda w: (len(w), tuple(map(str, w)))):
-            body = " ".join(str(x) for x in w) if w else "1"
-            lines.append(f"{body} : {self.entries[w]}")
-        return "\n".join(lines)
-
-    def __repr__(self):
-        return f"CumulantTable({len(self.entries)} entries)"
-
-
 def _as_fn(table):
     if callable(table):
         return table
@@ -197,45 +163,14 @@ def moments_from_cumulants(word, cumulants):
     return total
 
 
-def cumulants_from_moments(word, moments, _memo=None):
-    """Invert the moment formula by first-block expansion.
+def cumulants_from_moments(word, moments):
+    """Invert the moment formula: the free cumulant of the letters of ``word``.
 
-    ``kappa(w) = m(w) - sum over proper subsets V containing position 0 of
-    kappa(w|V) times the moments of the gap subwords``; equivalent to
-    subtracting every noncrossing partition except the one-block one.
+    ``moments`` maps a subword (a tuple of letters) to its moment; the
+    cumulant is :meth:`State.joint_cumulant` of the letters taken one by one.
     """
-    word = tuple(word)
-    mom = _as_fn(moments)
-    memo = {} if _memo is None else _memo
-
-    def kappa(w):
-        if w in memo:
-            return memo[w]
-        m = len(w)
-        if m == 0:
-            raise ValueError("cumulant of the empty word is undefined")
-        if m == 1:
-            memo[w] = mom(w)
-            return memo[w]
-        val = mom(w)
-        rest = list(range(1, m))
-        for r in range(m - 1):
-            for others in combinations(rest, r):
-                V = (0,) + others
-                sub = kappa(tuple(w[i] for i in V))
-                if sub == 0:
-                    continue
-                prod = sub
-                bounds = list(V) + [m]
-                for a, b in zip(bounds, bounds[1:]):
-                    gap = tuple(w[i] for i in range(a + 1, b))
-                    if gap:
-                        prod *= mom(gap)
-                val -= prod
-        memo[w] = val
-        return val
-
-    return kappa(word)
+    state = State(_as_fn(moments), tracial=False)
+    return state.joint_cumulant(tuple((x,) for x in word))
 
 
 def _join_is_full(pi, grouping, k):
@@ -320,6 +255,8 @@ class State:
 
         For a state of one unitary each word is reduced to its net power.
         """
+        if not words:
+            raise ValueError("cumulant of the empty word is undefined")
         if self._net_moments is not None:
             return self._net_cumulant(tuple(map(sum, words)))
         words = tuple(tuple(w) for w in words)
@@ -409,13 +346,6 @@ def _chains(members, gap):
                 stack.append((chain + (members[q],), prod * g, q + 1))
 
 
-class DictState(State):
-    """A state with explicitly tabulated moments (missing words are errors)."""
-
-    def __init__(self, table, name="dict", tracial=False):
-        super().__init__(lambda w: table[w], name=name, tracial=tracial)
-
-
 def _unitary_state(moment_fn, name):
     """A tracial state on words over the exponents +-1 of one unitary.
 
@@ -472,24 +402,17 @@ def _cyclic_canonical(blocks):
 class ProductState(State):
     """Tensor, boolean, or free product of marginal states.
 
-    Words use ``(factor_index, symbol)`` letters.  For the free product,
-    ``method`` picks the evaluation route: ``"centering"`` is the defining
-    recursion, ``"cumulant"`` the first-block noncrossing expansion,
-    ``"auto"`` switches to the latter on long words.  When every marginal is
-    tracial, words are canonicalised up to cyclic rotation before memo
-    lookup.
+    Words use ``(factor_index, symbol)`` letters.  A free-product moment is
+    the first-block cumulant expansion of :meth:`_free_cumulant_dp`.  When
+    every marginal is tracial, words are canonicalised up to cyclic rotation
+    before memo lookup.
     """
 
-    CENTERING_MAX_BLOCKS = 8
-
-    def __init__(self, factors, kind, method="auto"):
+    def __init__(self, factors, kind):
         if kind not in ("free", "boolean", "tensor"):
             raise ValueError(f"unknown product kind {kind!r}")
-        if method not in ("auto", "centering", "cumulant"):
-            raise ValueError(f"unknown free-product method {method!r}")
         self.factors = list(factors)
         self.kind = kind
-        self.method = method
         self.tracial_all = all(s.tracial for s in self.factors)
         self._free_memo = {}
         self._gap_memo = {}
@@ -526,50 +449,12 @@ class ProductState(State):
     # -- free product ------------------------------------------------------
 
     def _free_moment(self, blocks):
-        if not blocks:
-            return 1
         key = _cyclic_canonical(blocks) if self.tracial_all else tuple(blocks)
         if key in self._free_memo:
             return self._free_memo[key]
-        blocks = key
-        if len(blocks) == 1:
-            f, syms = blocks[0]
-            val = self.factors[f].moment(syms)
-        elif self.method == "centering" or (
-            self.method == "auto" and len(blocks) <= self.CENTERING_MAX_BLOCKS
-        ):
-            val = self._free_centering(blocks)
-        else:
-            val = self._free_cumulant_dp(blocks)
+        val = self._free_cumulant_dp(key)
         self._free_memo[key] = val
         return val
-
-    def _free_centering(self, blocks):
-        """Defining recursion: alternating centred blocks have zero mean."""
-        p = len(blocks)
-        means = [self.factors[f].moment(syms) for f, syms in blocks]
-        total = 0
-        for mask in range(1, 1 << p):
-            coeff = 1
-            kept = []
-            for i in range(p):
-                if mask >> i & 1:
-                    if means[i] == 0:
-                        coeff = 0
-                        break
-                    coeff *= -means[i]
-                else:
-                    kept.append(blocks[i])
-            if coeff == 0:
-                continue
-            merged = []
-            for f, syms in kept:
-                if merged and merged[-1][0] == f:
-                    merged[-1] = (f, merged[-1][1] + syms)
-                else:
-                    merged.append((f, syms))
-            total += -coeff * self._free_moment(tuple(merged))
-        return total
 
     def _free_cumulant_dp(self, blocks):
         """First-block expansion over same-factor cumulants, gap by gap.
@@ -603,9 +488,9 @@ class ProductState(State):
         return seg(0, len(blocks))
 
 
-def product_state(factors, kind, method="auto"):
+def product_state(factors, kind):
     """Combine marginal states into one by the named product."""
-    return ProductState(factors, kind, method)
+    return ProductState(factors, kind)
 
 
 class ConjugationCumulantReport:
@@ -618,7 +503,7 @@ class ConjugationCumulantReport:
 
     @property
     def equal(self):
-        return self.original.entries == self.conjugated.entries
+        return self.original == self.conjugated
 
     def dump(self):
         lines = [f"order {self.order}: {'EQUAL' if self.equal else 'DIFFERENT'}"]
@@ -644,24 +529,12 @@ def joint_cumulants_check_conjugation(order=6):
     ps = product_state([v, w], "free")
     one = Fraction(1)
 
-    def conj_moment(m):
-        word = []
-        for _ in range(m):
-            word += [(0, 1), (1, "s"), (0, -1)]
-        return one * ps.moment(tuple(word))
+    def cumulants(moment):
+        words = [("w",) * m for m in range(1, order + 1)]
+        return {
+            u: cumulants_from_moments(u, lambda x: one * moment(len(x))) for u in words
+        }
 
-    def orig_moment(m):
-        return one * w.moment(("s",) * m)
-
-    memo_c, memo_o = {}, {}
-    conj = CumulantTable()
-    orig = CumulantTable()
-    for m in range(1, order + 1):
-        word = ("w",) * m
-        conj[word] = cumulants_from_moments(
-            word, lambda u: conj_moment(len(u)), _memo=memo_c
-        )
-        orig[word] = cumulants_from_moments(
-            word, lambda u: orig_moment(len(u)), _memo=memo_o
-        )
+    conj = cumulants(lambda m: ps.moment(((0, 1), (1, "s"), (0, -1)) * m))
+    orig = cumulants(lambda m: w.moment(("s",) * m))
     return ConjugationCumulantReport(order, orig, conj)

@@ -89,14 +89,20 @@ class FieldValue:
         )
 
 
+def _lasso_word(loop, t_scale, tree_priority):
+    """The loop's lasso basis, its word in that basis, and each lasso's scaled area."""
+    basis = lasso_basis(build_graph([loop]), priority=tree_priority)
+    areas = tuple(l.face.area * t_scale for l in basis.lassos)
+    return basis, decompose(loop, basis).letters, areas
+
+
 class _LoopContext:
     """Everything reusable about one loop under one field: basis, word, state."""
 
     def __init__(self, field, loop):
-        graph = build_graph([loop])
-        self.basis = lasso_basis(graph, priority=field.tree_priority)
-        self.letters = decompose(loop, self.basis).letters
-        self.areas = tuple(l.face.area * field.t_scale for l in self.basis.lassos)
+        self.basis, self.letters, self.areas = _lasso_word(
+            loop, field.t_scale, field.tree_priority
+        )
         marginals = [state_at(a) for a in self.areas]
         self.state = product_state(marginals, field.product) if marginals else None
 
@@ -133,12 +139,8 @@ def evaluate(field, loop, k=1):
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
     """The sampler's view of a loop: (area, orientation) lassos and the word."""
-    loop = _as_loop(loop)
-    graph = build_graph([loop])
-    basis = lasso_basis(graph, priority=tree_priority)
-    letters = decompose(loop, basis).letters
-    lassos = [(l.face.area * t_scale, 1) for l in basis.lassos]
-    return lassos, list(letters)
+    _, letters, areas = _lasso_word(_as_loop(loop), t_scale, tree_priority)
+    return [(a, 1) for a in areas], list(letters)
 
 
 class CheckReport:

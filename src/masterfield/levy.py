@@ -33,7 +33,6 @@ __all__ = [
     "fubm_polynomial",
     "fubm_moments",
     "fubm_moment",
-    "MomentVector",
     "state_at",
     "LevyAxiomReport",
     "check_levy_axioms",
@@ -91,31 +90,11 @@ def fubm_moment(t, k):
     return float(acc) * exp(-k * float(t) / 2)
 
 
-class MomentVector:
-    """Moments ``m_0 .. m_kmax`` of one semigroup element at a fixed time."""
-
-    def __init__(self, t, values):
-        self.t = t
-        self.values = list(values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __repr__(self):
-        return f"MomentVector(t={self.t}, kmax={len(self.values) - 1})"
-
-
 def fubm_moments(t, kmax):
-    """The vector ``(m_0(t), ..., m_kmax(t))``."""
+    """The list ``[m_0(t), ..., m_kmax(t)]``."""
     if kmax < 1 or kmax > KMAX:
         raise ValueError(f"kmax must be between 1 and {KMAX}, got {kmax}")
-    return MomentVector(t, [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)])
+    return [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)]
 
 
 def state_at(t):

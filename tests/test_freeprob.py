@@ -1,9 +1,10 @@
 """Noncrossing combinatorics and products of states.
 
 Independent oracles: all set partitions filtered by an explicit crossing
-test, moment/cumulant round trips on random rational tables, and a
+test, moment/cumulant round trips on random rational tables, a
 reconstruction of product cumulants that never touches the partition-join
-formula used by the implementation.
+formula used by the implementation, and the free product's defining
+centering recursion.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from masterfield.freeprob import (
-    CumulantTable,
     State,
     catalan,
     cumulants_from_moments,
@@ -105,10 +105,9 @@ def test_moment_cumulant_round_trip_single_variable():
     for m in range(1, 9):
         w = ("x",) * m
         mom[w] = moments_from_cumulants(w, lambda u: kap[u])
-    memo = {}
     for m in range(1, 9):
         w = ("x",) * m
-        back = cumulants_from_moments(w, lambda u: mom[u], _memo=memo)
+        back = cumulants_from_moments(w, lambda u: mom[u])
         assert back == kap[w]
 
 
@@ -121,18 +120,16 @@ def test_moment_cumulant_round_trip_two_letters():
         for bits in range(2**L):
             words.append(tuple("ab"[bits >> i & 1] for i in range(L)))
     mom = {w: moments_from_cumulants(w, kap) for w in words}
-    memo = {}
     for w in words:
-        assert cumulants_from_moments(w, lambda u: mom[u], _memo=memo) == kap(w)
+        assert cumulants_from_moments(w, lambda u: mom[u]) == kap(w)
 
 
 def test_moments_from_random_moments_round_trip_other_direction():
     mom = {("x",) * m: rational_noise(("m", m)) for m in range(1, 8)}
-    memo = {}
     kap = {}
     for m in range(1, 8):
         w = ("x",) * m
-        kap[w] = cumulants_from_moments(w, lambda u: mom[u], _memo=memo)
+        kap[w] = cumulants_from_moments(w, lambda u: mom[u])
     for m in range(1, 8):
         w = ("x",) * m
         assert moments_from_cumulants(w, lambda u: kap[u]) == mom[w]
@@ -209,18 +206,69 @@ def test_free_product_low_order_values():
         free.moment(((5, "a"),))
 
 
+def centering_moment(factors, word, memo):
+    """Free moment by its defining recursion: alternating centred blocks have zero mean.
+
+    Over the word's same-factor blocks, the moment is minus the sum, over
+    every nonempty set S of blocks, of (-mean) for each block of S times the
+    moment of the word with S removed and same-factor neighbours merged.
+    """
+    blocks = []
+    for f, s in word:
+        if blocks and blocks[-1][0] == f:
+            blocks[-1] = (f, blocks[-1][1] + (s,))
+        else:
+            blocks.append((f, (s,)))
+    return _centering(factors, tuple(blocks), memo)
+
+
+def _centering(factors, blocks, memo):
+    if not blocks:
+        return 1
+    if len(blocks) == 1:
+        f, syms = blocks[0]
+        return factors[f].moment(syms)
+    if blocks in memo:
+        return memo[blocks]
+    p = len(blocks)
+    means = [factors[f].moment(syms) for f, syms in blocks]
+    total = 0
+    for mask in range(1, 1 << p):
+        coeff = 1
+        kept = []
+        for i in range(p):
+            if mask >> i & 1:
+                if means[i] == 0:
+                    coeff = 0
+                    break
+                coeff *= -means[i]
+            else:
+                kept.append(blocks[i])
+        if coeff == 0:
+            continue
+        merged = []
+        for f, syms in kept:
+            if merged and merged[-1][0] == f:
+                merged[-1] = (f, merged[-1][1] + syms)
+            else:
+                merged.append((f, syms))
+        total += -coeff * _centering(factors, tuple(merged), memo)
+    memo[blocks] = total
+    return total
+
+
 def test_free_centering_equals_cumulant_expansion():
     import random
 
     random.seed(31)
     for tracial in (False, True):
         base = _abc_states(tracial)
-        pc = product_state(base, "free", method="centering")
-        pk = product_state(_abc_states(tracial), "free", method="cumulant")
+        memo = {}
+        pk = product_state(_abc_states(tracial), "free")
         for L in range(1, 9):
             for _ in range(25):
                 w = tuple((random.randrange(3), random.choice("pq")) for _ in range(L))
-                assert pc.moment(w) == pk.moment(w), (tracial, w)
+                assert centering_moment(base, w, memo) == pk.moment(w), (tracial, w)
 
 
 def test_free_product_of_tracial_states_is_tracial():
@@ -238,7 +286,7 @@ def test_free_product_of_tracial_states_is_tracial():
                 tracial=False,
             )
         )
-    ps = product_state(states, "free", method="centering")
+    ps = product_state(states, "free")
     for L in range(2, 7):
         for _ in range(15):
             w = tuple((random.randrange(2), random.choice("pq")) for _ in range(L))
@@ -315,13 +363,12 @@ def test_conjugation_cumulant_report():
         joint_cumulants_check_conjugation(0)
 
 
-def test_cumulant_table_dump():
-    t = CumulantTable()
-    t[("x",)] = Fraction(1, 2)
-    t[("x", "y")] = 3
-    t[()] = 1
-    assert t.dump() == "1 : 1\nx : 1/2\nx y : 3"
-    assert ("x",) in t and t.get(("z",), 0) == 0
+def test_cumulant_of_the_empty_word_is_an_error():
+    with pytest.raises(ValueError, match="cumulant of the empty word is undefined"):
+        cumulants_from_moments((), lambda u: 1)
+    for state in (semicircle_state(), haar_unitary_state(), state_at(1.0)):
+        with pytest.raises(ValueError, match="cumulant of the empty word is undefined"):
+            state.joint_cumulant(())
 
 
 def subset_cumulant(moment, words, memo):
@@ -377,8 +424,7 @@ def test_free_centering_equals_cumulant_on_random_loops(seed, k):
     assume(loop.word)
     basis = lasso_basis(build_graph([loop]))
     word = tuple(decompose(loop, basis).letters) * k
-    values = []
-    for method in ("centering", "cumulant"):
-        marginals = [state_at(l.face.area) for l in basis.lassos]
-        values.append(product_state(marginals, "free", method=method).moment(word))
-    assert values[1] == pytest.approx(values[0], rel=1e-12, abs=1e-12)
+    areas = [l.face.area for l in basis.lassos]
+    want = centering_moment([state_at(a) for a in areas], word, {})
+    got = product_state([state_at(a) for a in areas], "free").moment(word)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
