@@ -12,6 +12,8 @@ moves of the basis, area-preserving rearrangement, infinite divisibility
 under face merges, and gauge conjugation by a free Haar unitary.
 """
 
+from math import inf, isfinite
+
 from .freeprob import haar_unitary_state, product_state
 from .levy import fubm_moment, state_at
 from .planar import (
@@ -62,8 +64,8 @@ class HolonomyField:
     def __init__(self, product="free", t_scale=1.0, tree_priority="NESW"):
         if product not in self.PRODUCTS:
             raise ValueError(f"product must be one of {self.PRODUCTS}, got {product!r}")
-        if t_scale <= 0:
-            raise ValueError(f"t_scale must be positive, got {t_scale}")
+        if not 0 < t_scale < inf:
+            raise ValueError(f"t_scale must be positive and finite, got {t_scale}")
         self.product = product
         self.t_scale = float(t_scale)
         self.tree_priority = tree_priority
@@ -93,6 +95,8 @@ def _lasso_word(loop, t_scale, tree_priority):
     """The loop's lasso basis, its word in that basis, and each lasso's scaled area."""
     basis = lasso_basis(build_graph([loop]), priority=tree_priority)
     areas = tuple(l.face.area * t_scale for l in basis.lassos)
+    if not all(map(isfinite, areas)):
+        raise ValueError(f"face areas of {loop.word} at t_scale {t_scale} are not finite")
     return basis, decompose(loop, basis).letters, areas
 
 

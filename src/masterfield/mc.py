@@ -4,8 +4,7 @@ Draws Brownian-motion samples on U(N) (or O(N)), one independent matrix
 per lasso with time equal to the face area, and estimates Wilson-type
 observables: the normalized trace of the matrix word for scalar
 observables, or a normalized block trace for entry words over a block
-partition.  Includes the square/rectangular block extraction and the
-conditional expectation onto the span of the block projectors.
+partition.
 
 Reproducibility: every sample owns a counter-based RNG stream spawned
 from the seed, so estimates are independent of the worker count, and a
@@ -42,8 +41,6 @@ __all__ = [
     "WilsonEstimate",
     "sample_ubm",
     "sample_ubm_batch",
-    "extract_blocks",
-    "conditional_expectation_rect",
     "estimate_wilson",
     "estimate_wilson_many",
 ]
@@ -171,7 +168,7 @@ def _streams(seed, samples):
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(samples)]
 
 
-def _check_unitary(U, scalars):
+def _check_unitary(U):
     ident = np.eye(U.shape[-1])
     drift = max(
         float(np.abs(u.conj().T @ u - ident).max()) for u in U.reshape(-1, *U.shape[-2:])
@@ -185,7 +182,7 @@ def _check_unitary(U, scalars):
 def sample_ubm(cfg, t):
     """One Brownian-motion sample at time t (the first stream of the seed)."""
     U = evolve_unitaries(_streams(cfg.seed, 1), cfg.N, t, cfg.step_count, cfg.field_scalars)
-    _check_unitary(U, cfg.field_scalars)
+    _check_unitary(U)
     return U[0]
 
 
@@ -202,7 +199,7 @@ def sample_ubm_batch(cfg, t):
         U[lo:hi] = evolve_unitaries(gens[lo:hi], cfg.N, t, cfg.step_count, cfg.field_scalars)
 
     _by_sample(cfg, work)
-    _check_unitary(U, cfg.field_scalars)
+    _check_unitary(U)
     return U
 
 
@@ -293,7 +290,7 @@ def _lasso_matrices(cfg, times):
                 for *_, new in jobs:
                     for _, (U, _) in new:
                         U.flags.writeable = False
-                        _check_unitary(U, cfg.field_scalars)
+                        _check_unitary(U)
         except BaseException:
             # snapshots planned by this call may be unfilled or unchecked
             store.paths.clear()
@@ -438,34 +435,3 @@ def estimate_wilson_many(lassos, words, cfg, partition=None):
 def estimate_wilson(lassos, word, cfg, partition=None):
     """Single-observable form of estimate_wilson_many."""
     return estimate_wilson_many(lassos, [word], cfg, partition=partition)[0]
-
-
-def extract_blocks(U, partition):
-    """The indexed family of blocks of U under the partition.
-
-    Returns a dict {(i, j): block}; blocks are views.  The projectors of
-    the partition are available from the partition object itself.
-    """
-    if U.shape != (partition.N, partition.N):
-        raise ValueError(
-            f"matrix shape {U.shape} does not conform to partition of {partition.N}"
-        )
-    out = {}
-    for i in range(len(partition)):
-        for j in range(len(partition)):
-            out[(i, j)] = U[partition.slice_of(i), partition.slice_of(j)]
-    return out
-
-
-def conditional_expectation_rect(A, partition):
-    """Project A onto span{p_i}: sum_i (Tr(p_i A p_i)/d_i) p_i."""
-    if A.shape != (partition.N, partition.N):
-        raise ValueError(
-            f"matrix shape {A.shape} does not conform to partition of {partition.N}"
-        )
-    out = np.zeros_like(A)
-    for i in range(len(partition)):
-        sl = partition.slice_of(i)
-        coeff = np.trace(A[sl, sl]) / partition.d[i]
-        out[sl, sl] = coeff * np.eye(partition.d[i])
-    return out

@@ -73,7 +73,7 @@ def test_moments_table(capsys):
         "2,0",
         "3,-0.111565080074215",
     ]
-    rc, _, err = run(capsys, ["moments", "--t", "1", "--kmax", "25"])
+    rc, _, err = run(capsys, ["moments", "--t", "1", "--kmax", "0"])
     assert rc == 2 and err
     rc, _, err = run(capsys, ["moments", "--t", "-1", "--kmax", "3"])
     assert rc == 2 and err
@@ -204,25 +204,52 @@ def test_entry_point_subprocess():
     assert proc.stdout == GOLDEN_EVAL
 
 
-def test_eval_reports_the_power_cap_plainly(capsys):
+def test_eval_past_order_20(capsys):
     rc, out, err = run(capsys, ["eval", "--loop", "NESW", "--k", "21"])
-    assert rc == 2 and out == ""
-    assert err == "word net power 21 exceeds supported order 20\n"
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1].startswith("NESW,21,")
 
 
-def test_compare_mc_power_cap_exits_before_sampling(tmp_path, capsys, monkeypatch):
+_TIME_FLAG_COMMANDS = {
+    "eval": ["eval", "--loop", "NESW"],
+    "check": ["check", "braid"],
+    "mc": ["mc", "--loops", "default", "--N", "2", "--samples", "2"],
+    "compare-mc": ["compare-mc", "--N", "2", "--samples", "2"],
+    "moments": ["moments", "--kmax", "3"],
+}
+_BAD_TIMES = [
+    (command, "--t-scale", value)
+    for command in ("eval", "check", "mc", "compare-mc")
+    for value in ("0", "-1", "inf", "nan")
+] + [("moments", "--t", value) for value in ("-1", "inf", "nan")]
+
+
+@pytest.mark.parametrize("command,flag,value", _BAD_TIMES)
+def test_bad_times_and_scales_exit_2(capsys, monkeypatch, command, flag, value):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("the sampler ran before the exact values were checked")
+        raise AssertionError("the sampler ran on a bad time scale")
 
     monkeypatch.setattr(cli, "estimate_wilson_many", no_sampling)
-    corpus = tmp_path / "one.txt"
-    corpus.write_text("NESW\n")
-    rc, out, err = run(
-        capsys,
-        ["compare-mc", "--corpus", str(corpus), "--N", "2", "--samples", "2",
-         "--kmax", "21"],
-    )
+    rc, out, err = run(capsys, _TIME_FLAG_COMMANDS[command] + [flag, value])
     assert rc == 2 and out == ""
-    assert err == (
-        "cannot evaluate 'NESW' to k=21: word net power 21 exceeds supported order 20\n"
+    assert len(err.splitlines()) == 1 and "finite" in err
+
+
+def test_overflowing_face_area_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("NNEESSWW\n")
+    rc, out, err = run(capsys, ["eval", "--loop", "NNEESSWW", "--t-scale", "1e308"])
+    assert rc == 2 and out == "" and "not finite" in err
+    rc, out, err = run(
+        capsys, ["mc", "--loops", str(corpus), "--N", "2", "--samples", "2",
+                 "--t-scale", "1e308"]
     )
+    assert rc == 2 and out == "" and "not finite" in err
+
+
+def test_moments_where_the_polynomial_overflows(capsys):
+    rc, out, err = run(capsys, ["moments", "--t", "1e16", "--kmax", "20"])
+    assert rc == 0 and err == ""
+    values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert len(values) == 20
+    assert all(abs(v) <= 1 for v in values)

@@ -197,8 +197,13 @@ def test_loop_observable_layout():
 def test_field_validation_and_inexact_refusal():
     with pytest.raises(ValueError, match="product"):
         HolonomyField(product="spherical")
-    with pytest.raises(ValueError, match="t_scale"):
-        HolonomyField(t_scale=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_scale"):
+            HolonomyField(t_scale=bad)
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate(HolonomyField(t_scale=1e308), "NNEESSWW")
+    with pytest.raises(ValueError, match="not finite"):
+        loop_observable("NESW", t_scale=math.nan)
     with pytest.raises(ValueError, match="power"):
         evaluate(FIELD, "NESW", -1)
     with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import decimal
 import math
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from masterfield.freeprob import product_state
+from masterfield.holonomy import HolonomyField, evaluate
 from masterfield.levy import (
-    KMAX,
     check_levy_axioms,
     fubm_moment,
     fubm_moments,
@@ -15,23 +18,42 @@ from masterfield.levy import (
     state_at,
 )
 
+# Test-local oracle: the quadratic moment hierarchy
+#     m_k' = -(k/2) m_k - (k/2) sum_{j=1}^{k-1} m_j m_{k-j},  m_k(0) = 1,
+# integrated exactly.  With m_k = exp(-k t/2) p_k it reads
+#     p_k' = -(k/2) sum_{j=1}^{k-1} p_j p_{k-j},  p_k(0) = 1.
+# Each p_k is stored as integers a_i with p_k = sum_i a_i t^i / i!, which
+# keeps k = 100 within a second; the pair sum is taken once per unordered
+# pair and doubled, so the halving by 2 is exact.
+_HIERARCHY = [[1], [1]]
 
-def closed_form_coefficients(k):
-    # Independent route: the known expansion of the k-th moment gives the
-    # coefficient of t^j as (-1)^j k^(j-1) C(k, j+1) / j! for j < k.
-    out = []
-    for j in range(k):
-        c = Fraction((-1) ** j) * Fraction(k) ** (j - 1) * math.comb(k, j + 1)
-        out.append(c / math.factorial(j))
-    return tuple(out)
+
+def hierarchy_polynomial(k):
+    """Coefficients (constant first) of p_k from the hierarchy, exact."""
+    while len(_HIERARCHY) <= k:
+        n = len(_HIERARCHY)
+        pairs = [0] * (n - 1)
+        for j in range(1, n // 2 + 1):
+            weight = 1 if 2 * j == n else 2
+            for i, x in enumerate(_HIERARCHY[j]):
+                for l, y in enumerate(_HIERARCHY[n - j]):
+                    pairs[i + l] += weight * math.comb(i + l, i) * x * y
+        _HIERARCHY.append([1] + [-(n * c) // 2 for c in pairs])
+    return tuple(Fraction(a, math.factorial(i)) for i, a in enumerate(_HIERARCHY[k]))
 
 
-def test_polynomials_match_closed_form():
-    for k in range(1, KMAX + 1):
-        got = fubm_polynomial(k)
-        want = closed_form_coefficients(k)
-        want = want[: len(got)] if len(want) > len(got) else want
-        assert got == closed_form_coefficients(k), f"k={k}"
+def polynomial_value(poly, t):
+    tq = Fraction(t)
+    return sum(c * tq**i for i, c in enumerate(poly))
+
+
+def hierarchy_moment(t, k):
+    return float(polynomial_value(hierarchy_polynomial(k), t)) * math.exp(-k * t / 2)
+
+
+def test_closed_form_matches_hierarchy_oracle():
+    for k in range(0, 41):
+        assert fubm_polynomial(k) == hierarchy_polynomial(k), f"k={k}"
 
 
 def test_low_order_polynomials():
@@ -132,10 +154,45 @@ def test_validation():
     with pytest.raises(ValueError):
         fubm_moments(1.0, 0)
     with pytest.raises(ValueError):
-        fubm_moments(1.0, KMAX + 1)
-    with pytest.raises(ValueError):
         fubm_moment(-0.5, 2)
     with pytest.raises(ValueError):
         state_at(-1.0)
-    with pytest.raises(ValueError):
-        state_at(1.0).moment((1,) * (KMAX + 1))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            fubm_moment(bad, 2)
+        with pytest.raises(ValueError, match="finite"):
+            state_at(bad)
+
+
+def test_orders_past_twenty():
+    want = hierarchy_moment(1.0, 21)
+    assert state_at(1.0).moment((1,) * 21) == pytest.approx(want, abs=1e-15)
+    assert fubm_moments(1.0, 21)[21] == pytest.approx(want, abs=1e-15)
+
+
+def test_single_face_at_power_100():
+    start = time.perf_counter()
+    value = evaluate(HolonomyField(), "NESW", 100).value
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    assert value == pytest.approx(hierarchy_moment(1.0, 100), abs=1e-12)
+
+
+def test_moments_stay_finite_where_the_polynomial_overflows():
+    # p_200(100) and p_20(1e16) leave the float range while exp(-k t/2)
+    # underflows; the product is still a moment, so it lies in [-1, 1]
+    for t, k in ((100, 200), (1e16, 20)):
+        with pytest.raises(OverflowError):
+            float(polynomial_value(fubm_polynomial(k), t))
+        value = fubm_moment(t, k)
+        assert math.isfinite(value) and abs(value) <= 1
+    # p_430(3.5) overflows too, but m_430(3.5) is about -3.8e-5: compare it
+    # with a 40-digit decimal evaluation of the same exact rational
+    acc = polynomial_value(fubm_polynomial(430), 3.5)
+    with pytest.raises(OverflowError):
+        float(acc)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = Decimal(acc.numerator) / Decimal(acc.denominator) * Decimal(-752.5).exp()
+    assert want < 0
+    assert fubm_moment(3.5, 430) == pytest.approx(float(want), rel=1e-10)

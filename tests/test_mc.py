@@ -12,10 +12,8 @@ from masterfield.mc import (
     BlockPartition,
     MatrixSamplerConfig,
     WilsonEstimate,
-    conditional_expectation_rect,
     estimate_wilson,
     estimate_wilson_many,
-    extract_blocks,
     sample_ubm,
     sample_ubm_batch,
 )
@@ -174,34 +172,6 @@ def test_block_partition():
     assert sq.d == (2, 2)
     with pytest.raises(ValueError):
         BlockPartition((2, 0))
-
-
-def test_extract_blocks_square():
-    M = np.arange(16.0).reshape(4, 4)
-    p = BlockPartition.square(2, 2)
-    blocks = extract_blocks(M, p)
-    assert np.array_equal(blocks[(0, 0)], [[0.0, 1.0], [4.0, 5.0]])
-    assert np.array_equal(blocks[(1, 0)], [[8.0, 9.0], [12.0, 13.0]])
-    whole = extract_blocks(M, BlockPartition((4,)))
-    assert np.array_equal(whole[(0, 0)], M)
-    with pytest.raises(ValueError):
-        extract_blocks(M, BlockPartition((2, 3)))
-
-
-def test_conditional_expectation():
-    p = BlockPartition((2, 2))
-    assert np.array_equal(conditional_expectation_rect(np.eye(4), p), np.eye(4))
-    proj = p.projector(0)
-    assert np.array_equal(conditional_expectation_rect(proj, p), proj)
-    M = np.arange(16.0).reshape(4, 4)
-    E = conditional_expectation_rect(M, p)
-    want = np.zeros((4, 4))
-    want[:2, :2] = np.eye(2) * (0 + 5) / 2
-    want[2:, 2:] = np.eye(2) * (10 + 15) / 2
-    assert np.allclose(E, want)
-    # idempotence and the bimodule property on the diagonal corner
-    assert np.allclose(conditional_expectation_rect(E, p), E)
-    assert np.allclose(conditional_expectation_rect(proj @ M @ proj, p), proj @ E @ proj)
 
 
 def test_estimate_empty_word():
