@@ -14,6 +14,7 @@ import sys
 from .holonomy import (
     DEFAULT_CORPUS,
     HolonomyField,
+    _context,
     check_area_invariance,
     check_braid_invariance,
     check_gauge_invariance_scalar,
@@ -178,10 +179,11 @@ def _sampler_config(args):
     )
 
 
-def _sampler_jobs(args, source):
+def _sampler_jobs(args, source, observe):
     """The sampler config and a ``(word, lassos, letters)`` job per loop.
 
-    None, after saying why on stderr, if the corpus, config or a loop is bad.
+    ``observe(word)`` gives a loop's ``(lassos, letters)``.  None, after
+    saying why on stderr, if the corpus, config or a loop is bad.
     """
     try:
         words = _read_corpus(source)
@@ -192,7 +194,7 @@ def _sampler_jobs(args, source):
     jobs = []
     for word in words:
         try:
-            lassos, letters = loop_observable(word, t_scale=args.t_scale)
+            lassos, letters = observe(word)
         except ValueError as exc:
             _fail(f"cannot use loop {word!r}: {exc}")
             return None
@@ -203,7 +205,9 @@ def _sampler_jobs(args, source):
 def _run_mc(args):
     if _below("power", args.k, 0):
         return 2
-    loaded = _sampler_jobs(args, args.loops)
+    loaded = _sampler_jobs(
+        args, args.loops, lambda word: loop_observable(word, t_scale=args.t_scale)
+    )
     if loaded is None:
         return 2
     cfg, jobs = loaded
@@ -222,11 +226,17 @@ def _run_mc(args):
 def _run_compare_mc(args):
     if _below("kmax", args.kmax, 1):
         return 2
-    loaded = _sampler_jobs(args, args.corpus)
+    field = HolonomyField(t_scale=args.t_scale)
+
+    def observe(word):
+        # the field's own context, which the exact evaluations below reuse
+        ctx = _context(field, Loop(word))
+        return [(a, 1) for a in ctx.areas], ctx.letters
+
+    loaded = _sampler_jobs(args, args.corpus, observe)
     if loaded is None:
         return 2
     cfg, loops = loaded
-    field = HolonomyField(t_scale=args.t_scale)
     powers = list(range(1, args.kmax + 1))
     first_bad = None
     rows = []

@@ -27,8 +27,10 @@ read as the ambient expectation of the target probability space.
 from __future__ import annotations
 
 import functools
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, factorial, inf, log
+from math import comb, exp, factorial, inf
 
 import numpy as np
 
@@ -62,8 +64,10 @@ def fubm_polynomial(k):
 def fubm_moment(t, k):
     """``m_k(t)`` as a float: exact polynomial value times ``exp(-k t/2)``.
 
-    Where the polynomial value leaves the float range, the product is taken
-    through the logarithm of the exact rational instead.
+    Where ``exp(-k t/2)`` is below the normal float range, and so carries
+    fewer significant bits, the product is taken in 30-digit decimal
+    arithmetic instead.  That is also where the polynomial value may leave
+    the float range: |m_k| <= 1, so p_k(t) <= exp(k t/2) fits elsewhere.
     """
     _check_time(t)
     k = abs(k)
@@ -72,11 +76,13 @@ def fubm_moment(t, k):
     acc = Fraction(0)
     for c in reversed(poly):
         acc = acc * tq + c
-    try:
-        return float(acc) * exp(-k * float(t) / 2)
-    except OverflowError:
-        size = exp(log(abs(acc.numerator)) - log(acc.denominator) - k * float(t) / 2)
-        return size if acc > 0 else -size
+    half = k * float(t) / 2
+    scale = exp(-half)
+    if scale >= sys.float_info.min:
+        return float(acc) * scale
+    with localcontext() as ctx:
+        ctx.prec = 30
+        return float(Decimal(acc.numerator) / acc.denominator * Decimal(-half).exp())
 
 
 def fubm_moments(t, kmax):

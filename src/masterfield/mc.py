@@ -11,9 +11,10 @@ from the seed, so estimates are independent of the worker count, and a
 fixed (seed, config) pair reproduces values bit-for-bit.  Lasso slot k of
 a call reads its sample's stream from where slot k-1 stopped, so every
 lasso matrix is a prefix of one path per (start draw, step size).  A
-config keeps the paths evolved through it, and calls sharing a config
-take their matrices from those paths and evolve only what no earlier call
-did; the values are bit-for-bit those of a fresh config.  The paths are
+config keeps the paths evolved through it, with the one set of per-sample
+generators that walks them, and calls sharing a config take their
+matrices from those paths and evolve only what no earlier call did; the
+values are bit-for-bit those of a fresh config.  The paths are
 dropped when the config's seed, N, samples, step_count or field_scalars
 change; copies and pickles of a config start without them, and
 ``sample_ubm_batch`` always evolves afresh.  Estimates from calls sharing
@@ -169,11 +170,9 @@ def _streams(seed, samples):
 
 
 def _check_unitary(U):
-    ident = np.eye(U.shape[-1])
-    drift = max(
-        float(np.abs(u.conj().T @ u - ident).max()) for u in U.reshape(-1, *U.shape[-2:])
-    )
-    if drift > _UNITARITY_TOL:
+    """Raise unless every matrix of the (S, N, N) batch U is unitary to tolerance."""
+    drift = float(np.abs(_dagger(U) @ U - np.eye(U.shape[-1])).max(initial=0.0))
+    if not drift <= _UNITARITY_TOL:
         raise RuntimeError(
             f"unitarity drift {drift:.3e} exceeds tolerance {_UNITARITY_TOL}"
         )
@@ -212,17 +211,20 @@ class _PathStore:
     ``paths`` maps (o, dt) to {steps: (matrices, states)}: a read-only
     (S, N, N) snapshot after that many steps, kept at every multiple of
     step_count and at every requested length, with each stream's generator
-    state at draw o + steps; ``origin`` holds the states at draw 0.  Paths
-    are kept in the order they were last read, and the ones read longest
-    ago are dropped while the store holds more than twice the snapshots
-    that the largest call so far needs on its own.  ``lock`` is held by
-    a call from planning to trimming, so threads may share a config.
+    state at draw o + steps; ``origin`` holds the states at draw 0, and
+    ``gens`` are the store's one generator per sample, set to a snapshot's
+    states before they walk on from it.  Paths are kept in the order they
+    were last read, and the ones read longest ago are dropped while the
+    store holds more than twice the snapshots that the largest call so far
+    needs on its own.  ``lock`` is held by a call from planning to
+    trimming, so threads may share a config.
     """
 
     def __init__(self, cfg, key):
         self.key = key
         self.lock = threading.Lock()
-        self.origin = (None, [g.bit_generator.state for g in _streams(cfg.seed, cfg.samples)])
+        self.gens = _streams(cfg.seed, cfg.samples)
+        self.origin = (None, [g.bit_generator.state for g in self.gens])
         self.paths = {}
         self.budget = 0
 
@@ -286,7 +288,7 @@ def _lasso_matrices(cfg, times):
         try:
             mats, jobs = store.plan(times, cfg.step_count, shape, dtype)
             if jobs:
-                _run_jobs(jobs, cfg)
+                _run_jobs(jobs, store.gens, cfg)
                 for *_, new in jobs:
                     for _, (U, _) in new:
                         U.flags.writeable = False
@@ -299,9 +301,8 @@ def _lasso_matrices(cfg, times):
     return mats
 
 
-def _run_jobs(jobs, cfg):
-    """Fill the snapshots that ``_PathStore.plan`` laid out."""
-    gens = _streams(cfg.seed, cfg.samples)
+def _run_jobs(jobs, gens, cfg):
+    """Fill the snapshots that ``_PathStore.plan`` laid out, with the store's generators."""
 
     def work(lo, hi):
         chunk = gens[lo:hi]
@@ -397,8 +398,8 @@ def estimate_wilson_many(lassos, words, cfg, partition=None):
     """
     areas = []
     for area, orient in lassos:
-        if area < 0:
-            raise ValueError(f"face area must be >= 0, got {area}")
+        if not 0 <= area < math.inf:
+            raise ValueError(f"face area must be finite and >= 0, got {area}")
         if orient not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {orient}")
         areas.append(area)

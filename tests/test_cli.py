@@ -5,7 +5,16 @@ import sys
 
 import pytest
 
-from masterfield import cli
+from masterfield import (
+    DEFAULT_CORPUS,
+    HolonomyField,
+    MatrixSamplerConfig,
+    cli,
+    estimate_wilson_many,
+    evaluate,
+    holonomy,
+    loop_observable,
+)
 from masterfield.cli import main
 
 
@@ -191,6 +200,40 @@ def test_compare_mc_detects_finite_size_bias(tmp_path, capsys):
     assert "compare-mc: FAIL at NESW k=2" in err
     assert len(err.splitlines()) == 1
     assert out.splitlines()[2].endswith(",0")
+
+
+def test_compare_mc_derives_each_loop_once(tmp_path, monkeypatch):
+    # The sampler's lassos and letters come from the exact field's context:
+    # one graph per corpus loop, and the CSV that lassos from
+    # loop_observable give, byte for byte.
+    graphs = []
+    build_graph = holonomy.build_graph
+
+    def counted(*args, **kwargs):
+        graphs.append(args)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(holonomy, "build_graph", counted)
+    path = tmp_path / "compare.csv"
+    argv = ["compare-mc", "--N", "4", "--samples", "50", "--seed", "7", "--out", str(path)]
+    assert main(argv) == 0
+    assert len(graphs) == len(DEFAULT_CORPUS) == 10
+    monkeypatch.undo()
+
+    cfg = MatrixSamplerConfig(N=4, samples=50, seed=7, step_count=50)
+    field = HolonomyField()
+    rows = ["loop,k,exact,mc_re,mc_im,stderr,ok"]
+    for word in DEFAULT_CORPUS:
+        lassos, letters = loop_observable(word)
+        estimates = estimate_wilson_many(lassos, [tuple(letters) * k for k in (1, 2, 3)], cfg)
+        for k, est in enumerate(estimates, 1):
+            exact = evaluate(field, word, k).value
+            ok = int(abs(est.mean - exact) <= 3 * est.stderr)
+            rows.append(
+                f"{word},{k},{exact:.15g},{est.mean.real:.15g},{est.mean.imag:.15g},"
+                f"{est.stderr:.15g},{ok}"
+            )
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
 def test_entry_point_subprocess():

@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -196,3 +197,20 @@ def test_moments_stay_finite_where_the_polynomial_overflows():
         want = Decimal(acc.numerator) / Decimal(acc.denominator) * Decimal(-752.5).exp()
     assert want < 0
     assert fubm_moment(3.5, 430) == pytest.approx(float(want), rel=1e-10)
+
+
+def test_moments_keep_full_precision_where_the_exponential_is_subnormal():
+    # exp(-720) is subnormal and keeps about 40 of 53 bits, so the float
+    # product p_1440(1) * exp(-720) was off by 3e-12 relative; m_1440(1) is
+    # about 8.8e-6.  Compare it with a 40-digit decimal evaluation of the
+    # exact rational.
+    acc = polynomial_value(fubm_polynomial(1440), 1)
+    assert math.isfinite(float(acc)) and 0 < math.exp(-720) < sys.float_info.min
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        want = Decimal(acc.numerator) / Decimal(acc.denominator) * Decimal(-720).exp()
+    assert fubm_moment(1.0, 1440) == pytest.approx(float(want), rel=1e-15, abs=0)
+    # where exp(-k t/2) is a normal float the value is the plain product
+    for t, k in ((2.0, 700), (1.0, 1416), (0.5, 30)):
+        acc = polynomial_value(fubm_polynomial(k), t)
+        assert fubm_moment(t, k) == float(acc) * math.exp(-k * t / 2)

@@ -118,6 +118,52 @@ def test_stream_layout_golden_values():
         assert abs(e.mean - mean) < 1e-12 and abs(e.stderr - stderr) < 1e-12
 
 
+def walk_one_draw_per_step(gens, N, steps, dt, scalars):
+    """Reference walk: one ``standard_normal`` call per sample per step."""
+    dtype = np.complex128 if scalars == "complex" else np.float64
+    ident = np.eye(N, dtype=dtype)
+    U = np.broadcast_to(ident, (len(gens), N, N)).copy()
+    for _ in range(steps):
+        if scalars == "complex":
+            raw = np.array([g.standard_normal((N, N, 2)) for g in gens])
+            Z = raw.view(np.complex128)[..., 0]
+            A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * 0.5 * math.sqrt(dt / N))
+        else:
+            raw = np.array([g.standard_normal((N, N)) for g in gens])
+            A = (raw - raw.transpose(0, 2, 1)) * math.sqrt(dt / (2 * N))
+        B = A - (A @ A @ A) / 12.0
+        U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
+    return U
+
+
+def test_block_draws_match_one_draw_per_step():
+    # At N=16 with 8 samples a block holds 16 complex steps (32 real), so
+    # 50 steps cross full blocks and end in a partial one.  The generators
+    # must also stand where one draw per step leaves them: no stream is
+    # read past the call's last step.
+    N, S, steps = 16, 8, 50
+    assert _kernels._NOISE_FLOATS // (S * N * N * 2) == 16
+    for scalars in ("complex", "real"):
+        gens, oracle = mc._streams(3, S), mc._streams(3, S)
+        U = _kernels.evolve_unitaries(gens, N, 1.0, steps, scalars)
+        assert np.array_equal(U, walk_one_draw_per_step(oracle, N, steps, 1.0 / steps, scalars))
+        assert [repr(g.bit_generator.state) for g in gens] == [
+            repr(g.bit_generator.state) for g in oracle
+        ]
+
+
+def test_check_unitary_checks_every_matrix():
+    perm = np.eye(4)[[2, 0, 3, 1]] * np.array([1, -1, 1j, -1j])
+    U = np.stack([perm, perm.T, np.eye(4), perm @ perm, perm.conj().T]).astype(complex)
+    mc._check_unitary(U)
+    mc._check_unitary(np.empty((0, 4, 4), complex))
+    for bad in (1e-6, math.nan):
+        drifted = U.copy()
+        drifted[2, 1, 1] += bad
+        with pytest.raises(RuntimeError, match="unitarity drift"):
+            mc._check_unitary(drifted)
+
+
 def test_trace_drift_matches_limit():
     # E[tr U(t)/N] -> e^{-t/2}; at N=32 the finite-size bias is far below
     # the statistical resolution of 300 samples.
@@ -302,8 +348,9 @@ def test_word_validation():
         estimate_wilson([(1.0, 1)], [(1, 1)], cfg)
     with pytest.raises(ValueError):
         estimate_wilson([(1.0, 2)], [(0, 1)], cfg)
-    with pytest.raises(ValueError):
-        estimate_wilson([(-1.0, 1)], [(0, 1)], cfg)
+    for area in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"face area must be finite and >= 0, got {area}"):
+            estimate_wilson([(area, 1)], [(0, 1)], cfg)
 
 
 def test_classical_gauge_invariance():
