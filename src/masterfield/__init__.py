@@ -38,10 +38,7 @@ from .holonomy import (
 )
 from .mc import (
     MatrixSamplerConfig,
-    BlockPartition,
-    estimate_wilson,
     estimate_wilson_many,
-    sample_ubm,
 )
 from .ncalg import ZhangAlgebra, verify_axiom
 
@@ -69,10 +66,7 @@ __all__ = [
     "check_area_invariance",
     "check_gauge_invariance_scalar",
     "MatrixSamplerConfig",
-    "BlockPartition",
-    "estimate_wilson",
     "estimate_wilson_many",
-    "sample_ubm",
     "ZhangAlgebra",
     "verify_axiom",
 ]

@@ -28,14 +28,9 @@ import math
 
 import numpy as np
 
-__all__ = ["scalar_dtype", "step_grid", "evolve_unitaries"]
+__all__ = ["step_grid", "evolve_unitaries"]
 
 _NOISE_FLOATS = 1 << 16
-
-
-def scalar_dtype(scalars):
-    """The matrix dtype of a field over ``complex`` (U(N)) or ``real`` (O(N)) scalars."""
-    return np.complex128 if scalars == "complex" else np.float64
 
 
 def step_grid(t, step_count):
@@ -44,7 +39,7 @@ def step_grid(t, step_count):
     return steps, t / steps
 
 
-def evolve_unitaries(gens, N, t, step_count, scalars="complex", start=None, dt=None):
+def evolve_unitaries(gens, N, t, step_count, start=None, dt=None):
     """One Brownian-motion sample per generator, evolved for time t.
 
     Returns an (S, N, N) array, S = len(gens).  Each generator backs one
@@ -61,42 +56,33 @@ def evolve_unitaries(gens, N, t, step_count, scalars="complex", start=None, dt=N
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     S = len(gens)
-    ident = np.eye(N, dtype=scalar_dtype(scalars))
     if start is None:
-        U = np.broadcast_to(ident, (S, N, N)).copy()
+        U = np.broadcast_to(np.eye(N, dtype=complex), (S, N, N)).copy()
     else:
-        U = np.array(start, dtype=ident.dtype, order="C")
+        U = np.array(start, dtype=complex, order="C")
     if S == 0 or t == 0:
         return U
     if dt is None:
         steps, dt = step_grid(t, step_count)
     else:
         steps = round(t / dt)
-    return _evolve_batched(gens, U, steps, dt, scalars)
+    return _evolve_batched(gens, U, steps, dt)
 
 
-def _evolve_batched(gens, U, steps, dt, scalars):
+def _evolve_batched(gens, U, steps, dt):
     S, N = U.shape[0], U.shape[1]
-    ident = np.eye(N, dtype=U.dtype)
-    if scalars == "complex":
-        # A = i (Z + Z*) / 2 sqrt(dt/N): a GUE increment of entry variance dt/N
-        draw, scale = (N, N, 2), 0.5 * math.sqrt(dt / N)
-    else:
-        # A = (Z - Z^T) sqrt(dt/2N): an antisymmetric increment of the same variance
-        draw, scale = (N, N), math.sqrt(dt / (2 * N))
-    block = max(1, _NOISE_FLOATS // (S * math.prod(draw)))
-    noise = np.empty((S, min(block, steps), *draw))
+    ident = np.eye(N, dtype=complex)
+    # A = i (Z + Z*) / 2 sqrt(dt/N): a GUE increment of entry variance dt/N
+    scale = 0.5 * math.sqrt(dt / N)
+    block = max(1, _NOISE_FLOATS // (S * N * N * 2))
+    noise = np.empty((S, min(block, steps), N, N, 2))
     for j in range(steps):
         if j % block == 0:
             n = min(block, steps - j)
             for s, g in enumerate(gens):
                 g.standard_normal(out=noise[s, :n])
-        raw = noise[:, j % block]
-        if scalars == "complex":
-            Z = raw.view(np.complex128)[..., 0]
-            A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * scale)
-        else:
-            A = (raw - raw.transpose(0, 2, 1)) * scale
+        Z = noise[:, j % block].view(np.complex128)[..., 0]
+        A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * scale)
         B = A - (A @ A @ A) / 12.0
         U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
     return U

@@ -43,43 +43,28 @@ def _below(name, value, least):
 
 
 def _read_corpus(source):
-    """A loop-word list: the built-in corpus, or one word per line, # comments."""
+    """A loop-word list: the built-in corpus, or one word per line, # comments.
+
+    ValueError, with a one-line message, if the file cannot be read or
+    holds no loop.
+    """
     if source == "default":
         return list(DEFAULT_CORPUS)
-    words = []
-    with open(source, "r", encoding="utf-8") as fh:
-        for line in fh:
-            token = line.split("#", 1)[0].strip()
-            if token:
-                words.append(token)
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            words = [w for w in (line.split("#", 1)[0].strip() for line in fh) if w]
+    except OSError as exc:
+        raise ValueError(f"cannot read corpus {source}: {exc.strerror or exc}") from None
+    if not words:
+        raise ValueError(f"corpus {source} holds no loop")
     return words
-
-
-class _Output:
-    """CSV sink: stdout for '-'/'csv', otherwise the named file."""
-
-    def __init__(self, target):
-        self.target = target
-        self._fh = None
-
-    def __enter__(self):
-        if self.target in ("csv", "-"):
-            stream = sys.stdout
-        else:
-            self._fh = open(self.target, "w", encoding="utf-8", newline="")
-            stream = self._fh
-        return csv.writer(stream, lineterminator="\n")
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
 
 
 def _field_from(args):
     return HolonomyField(product=args.field, t_scale=args.t_scale)
 
 
-def _run_eval(args):
+def _run_eval(args, out):
     if _below("power", args.k, 0):
         return 2
     if not args.constant and not args.loop:
@@ -99,9 +84,8 @@ def _run_eval(args):
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    with _Output(args.out) as out:
-        out.writerow(["loop", "k", "value", "method"])
-        out.writerow([result.loop.word, args.k, _fmt(result.value), result.method])
+    out.writerow(["loop", "k", "value", "method"])
+    out.writerow([result.loop.word, args.k, _fmt(result.value), result.method])
     return 0
 
 
@@ -113,7 +97,7 @@ _CHECKS = {
 }
 
 
-def _run_check(args):
+def _run_check(args, out):
     field = _field_from(args)
     try:
         if args.kind == "braid":
@@ -142,10 +126,9 @@ def _run_check(args):
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    with _Output(args.out) as out:
-        out.writerow(["check", "case", "deviation"])
-        for label, deviation in report.records:
-            out.writerow([args.kind, label, _fmt(deviation)])
+    out.writerow(["check", "case", "deviation"])
+    for label, deviation in report.records:
+        out.writerow([args.kind, label, _fmt(deviation)])
     if not report.ok:
         label, deviation = report.failures[0]
         _fail(
@@ -156,16 +139,15 @@ def _run_check(args):
     return 0
 
 
-def _run_moments(args):
+def _run_moments(args, out):
     try:
         values = fubm_moments(args.t, args.kmax)
     except ValueError as exc:
         _fail(str(exc))
         return 2
-    with _Output(args.out) as out:
-        out.writerow(["k", "m_k"])
-        for k in range(1, args.kmax + 1):
-            out.writerow([k, _fmt(values[k])])
+    out.writerow(["k", "m_k"])
+    for k in range(1, args.kmax + 1):
+        out.writerow([k, _fmt(values[k])])
     return 0
 
 
@@ -188,7 +170,7 @@ def _sampler_jobs(args, source, observe):
     try:
         words = _read_corpus(source)
         cfg = _sampler_config(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         _fail(str(exc))
         return None
     jobs = []
@@ -202,7 +184,7 @@ def _sampler_jobs(args, source, observe):
     return cfg, jobs
 
 
-def _run_mc(args):
+def _run_mc(args, out):
     if _below("power", args.k, 0):
         return 2
     loaded = _sampler_jobs(
@@ -217,13 +199,12 @@ def _run_mc(args):
         rows.append(
             [word, _fmt(est.mean.real), _fmt(est.mean.imag), _fmt(est.stderr)]
         )
-    with _Output(args.out) as out:
-        out.writerow(["word", "mean_re", "mean_im", "stderr"])
-        out.writerows(rows)
+    out.writerow(["word", "mean_re", "mean_im", "stderr"])
+    out.writerows(rows)
     return 0
 
 
-def _run_compare_mc(args):
+def _run_compare_mc(args, out):
     if _below("kmax", args.kmax, 1):
         return 2
     field = HolonomyField(t_scale=args.t_scale)
@@ -262,9 +243,8 @@ def _run_compare_mc(args):
                     int(ok),
                 ]
             )
-    with _Output(args.out) as out:
-        out.writerow(["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"])
-        out.writerows(rows)
+    out.writerow(["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"])
+    out.writerows(rows)
     if first_bad is not None:
         word, k, err, bound = first_bad
         _fail(
@@ -384,7 +364,17 @@ def main(argv=None):
     if not 0 < t_scale < math.inf:
         _fail(f"t-scale must be positive and finite, got {t_scale}")
         return 2
-    return args.run(args)
+    # Like a shell redirection, --out is opened (created or truncated)
+    # before the command runs, so a bad path costs no work.
+    if args.out in ("csv", "-"):
+        return args.run(args, csv.writer(sys.stdout, lineterminator="\n"))
+    try:
+        sink = open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        _fail(f"cannot write {args.out}: {exc.strerror or exc}")
+        return 2
+    with sink:
+        return args.run(args, csv.writer(sink, lineterminator="\n"))
 
 
 if __name__ == "__main__":

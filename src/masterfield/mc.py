@@ -1,10 +1,8 @@
 """Finite-dimension random-matrix oracle for the exact field values.
 
-Draws Brownian-motion samples on U(N) (or O(N)), one independent matrix
-per lasso with time equal to the face area, and estimates Wilson-type
-observables: the normalized trace of the matrix word for scalar
-observables, or a normalized block trace for entry words over a block
-partition.
+Draws Brownian-motion samples on U(N), one independent matrix per lasso
+with time equal to the face area, and estimates scalar Wilson loops: the
+mean normalized trace of the matrix word.
 
 Reproducibility: every sample owns a counter-based RNG stream spawned
 from the seed, so estimates are independent of the worker count, and a
@@ -15,15 +13,15 @@ config keeps the paths evolved through it, with the one set of per-sample
 generators that walks them, and calls sharing a config take their
 matrices from those paths and evolve only what no earlier call did; the
 values are bit-for-bit those of a fresh config.  The paths are
-dropped when the config's seed, N, samples, step_count or field_scalars
-change; copies and pickles of a config start without them, and
-``sample_ubm_batch`` always evolves afresh.  Estimates from calls sharing
+dropped when the config's seed, N, samples or step_count change; copies
+and pickles of a config start without them, and ``sample_ubm_batch``
+always evolves afresh.  Estimates from calls sharing
 a config are therefore correlated, as they already were through the
 shared streams (the first lasso of every loop of area 1 is the same
 matrix).  A config retains at most twice the path snapshots that its
 most demanding call needs: about two per unit of that call's total lasso
-area plus two per lasso, each one samples x N x N scalars (26 MB at
-N=64, 400 samples, complex) plus one generator state per sample; they
+area plus two per lasso, each one samples x N x N complex entries
+(26 MB at N=64, 400 samples) plus one generator state per sample; they
 are freed with the config.
 """
 
@@ -34,15 +32,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._kernels import evolve_unitaries, scalar_dtype, step_grid
+from ._kernels import evolve_unitaries, step_grid
 
 __all__ = [
     "MatrixSamplerConfig",
-    "BlockPartition",
     "WilsonEstimate",
-    "sample_ubm",
     "sample_ubm_batch",
-    "estimate_wilson",
     "estimate_wilson_many",
 ]
 
@@ -61,7 +56,7 @@ def default_workers():
 
 
 class MatrixSamplerConfig:
-    """Sampling parameters: matrix size, scalars, step density, seed, count.
+    """Sampling parameters: matrix size, step density, seed, count.
 
     ``step_count`` is the number of SDE steps per unit of time; at least
     50 per unit time are required for the retraction error to stay well
@@ -74,7 +69,6 @@ class MatrixSamplerConfig:
         samples=400,
         seed=0,
         step_count=200,
-        field_scalars="complex",
         workers=None,
     ):
         if N < 2:
@@ -86,10 +80,6 @@ class MatrixSamplerConfig:
                 "step_count too small: need at least 50 steps per unit time, "
                 f"got {step_count} (unitarity/discretization drift exceeds tolerance)"
             )
-        if field_scalars not in ("complex", "real"):
-            raise ValueError(
-                f"field_scalars must be 'complex' or 'real', got {field_scalars!r}"
-            )
         workers = default_workers() if workers is None else int(workers)
         if workers < 1:
             raise ValueError(f"worker count must be at least 1, got {workers}")
@@ -97,7 +87,6 @@ class MatrixSamplerConfig:
         self.samples = samples
         self.seed = seed
         self.step_count = step_count
-        self.field_scalars = field_scalars
         self.workers = workers
         self._paths = None  # a _PathStore: the paths evolved through this config
 
@@ -109,44 +98,8 @@ class MatrixSamplerConfig:
     def __repr__(self):
         return (
             f"MatrixSamplerConfig(N={self.N}, samples={self.samples}, "
-            f"seed={self.seed}, step_count={self.step_count}, "
-            f"field_scalars={self.field_scalars!r}, workers={self.workers})"
+            f"seed={self.seed}, step_count={self.step_count}, workers={self.workers})"
         )
-
-
-class BlockPartition:
-    """A partition N = d_1 + ... + d_n defining diagonal blocks and projectors."""
-
-    def __init__(self, d):
-        d = tuple(int(x) for x in d)
-        if not d or any(x <= 0 for x in d):
-            raise ValueError(f"block sizes must be positive, got {d}")
-        self.d = d
-        self.N = sum(d)
-        offs = [0]
-        for x in d:
-            offs.append(offs[-1] + x)
-        self.offsets = tuple(offs)
-
-    @classmethod
-    def square(cls, n, d):
-        """n equal blocks of size d (so N = n*d)."""
-        return cls((d,) * n)
-
-    def __len__(self):
-        return len(self.d)
-
-    def slice_of(self, i):
-        return slice(self.offsets[i], self.offsets[i + 1])
-
-    def projector(self, i):
-        p = np.zeros((self.N, self.N))
-        sl = self.slice_of(i)
-        p[sl, sl] = np.eye(self.d[i])
-        return p
-
-    def __repr__(self):
-        return f"BlockPartition(d={self.d})"
 
 
 class WilsonEstimate:
@@ -178,13 +131,6 @@ def _check_unitary(U):
         )
 
 
-def sample_ubm(cfg, t):
-    """One Brownian-motion sample at time t (the first stream of the seed)."""
-    U = evolve_unitaries(_streams(cfg.seed, 1), cfg.N, t, cfg.step_count, cfg.field_scalars)
-    _check_unitary(U)
-    return U[0]
-
-
 def sample_ubm_batch(cfg, t):
     """All cfg.samples Brownian-motion samples at time t, shape (samples, N, N).
 
@@ -192,10 +138,10 @@ def sample_ubm_batch(cfg, t):
     ``cfg``, and the array is the caller's own.
     """
     gens = _streams(cfg.seed, cfg.samples)
-    U = np.empty((cfg.samples, cfg.N, cfg.N), scalar_dtype(cfg.field_scalars))
+    U = np.empty((cfg.samples, cfg.N, cfg.N), complex)
 
     def work(lo, hi):
-        U[lo:hi] = evolve_unitaries(gens[lo:hi], cfg.N, t, cfg.step_count, cfg.field_scalars)
+        U[lo:hi] = evolve_unitaries(gens[lo:hi], cfg.N, t, cfg.step_count)
 
     _by_sample(cfg, work)
     _check_unitary(U)
@@ -228,7 +174,7 @@ class _PathStore:
         self.paths = {}
         self.budget = 0
 
-    def plan(self, times, step_count, shape, dtype):
+    def plan(self, times, step_count, shape):
         """The matrices for each lasso time, and the jobs that fill them.
 
         A job is (dt, steps at start, snapshot to start from, [(steps,
@@ -237,7 +183,7 @@ class _PathStore:
         where the previous slot's snapshot left them; so jobs filled in
         order only read snapshots that are filled.
         """
-        ident = np.broadcast_to(np.eye(shape[1], dtype=dtype), shape)
+        ident = np.broadcast_to(np.eye(shape[1], dtype=complex), shape)
         out, jobs, need, offset, prev = [], [], 0, 0, self.origin
         for t in times:
             if t == 0:
@@ -250,7 +196,7 @@ class _PathStore:
                 base = max((n for n in snaps if n < steps), default=0)
                 src = snaps[base] if base else (None, prev[1])
                 ends = [*range(base - base % step_count + step_count, steps, step_count), steps]
-                new = [(n, (np.empty(shape, dtype), [None] * shape[0])) for n in ends]
+                new = [(n, (np.empty(shape, complex), [None] * shape[0])) for n in ends]
                 snaps.update(new)
                 jobs.append((dt, base, src, new))
             prev = snaps[steps]
@@ -268,7 +214,7 @@ class _PathStore:
 
 def _store_key(cfg):
     """What the paths depend on; the store starts afresh when it changes."""
-    return (cfg.seed, cfg.N, cfg.samples, cfg.step_count, cfg.field_scalars)
+    return (cfg.seed, cfg.N, cfg.samples, cfg.step_count)
 
 
 def _lasso_matrices(cfg, times):
@@ -282,11 +228,10 @@ def _lasso_matrices(cfg, times):
     store = cfg._paths
     if store is None or store.key != key:
         store = cfg._paths = _PathStore(cfg, key)
-    dtype = scalar_dtype(cfg.field_scalars)
     shape = (cfg.samples, cfg.N, cfg.N)
     with store.lock:
         try:
-            mats, jobs = store.plan(times, cfg.step_count, shape, dtype)
+            mats, jobs = store.plan(times, cfg.step_count, shape)
             if jobs:
                 _run_jobs(jobs, store.gens, cfg)
                 for *_, new in jobs:
@@ -311,10 +256,7 @@ def _run_jobs(jobs, gens, cfg):
                 g.bit_generator.state = state
             U = None if U is None else U[lo:hi]
             for end, (snap, snap_states) in new:
-                U = evolve_unitaries(
-                    chunk, cfg.N, (end - n) * dt, cfg.step_count,
-                    cfg.field_scalars, start=U, dt=dt,
-                )
+                U = evolve_unitaries(chunk, cfg.N, (end - n) * dt, cfg.step_count, start=U, dt=dt)
                 snap[lo:hi] = U
                 snap_states[lo:hi] = [g.bit_generator.state for g in chunk]
                 n = end
@@ -325,7 +267,7 @@ def _run_jobs(jobs, gens, cfg):
 def _by_sample(cfg, work):
     """Run ``work(lo, hi)`` over the samples, split across cfg.workers threads.
 
-    Every sample owns its stream, so the partition does not affect the values.
+    Every sample owns its stream, so the split does not affect the values.
     """
     S = cfg.samples
     w = min(cfg.workers, S)
@@ -348,53 +290,21 @@ def _dagger(U):
 
 
 def _scalar_values(mats, word, N):
-    S = mats[0].shape[0] if mats else 0
+    """The normalized trace of a nonempty word's product, one value per sample."""
     prod = None
     for idx, expo in word:
         m = mats[idx] if expo == 1 else _dagger(mats[idx])
         prod = m if prod is None else prod @ m
-    if prod is None:
-        return np.ones(S, dtype=complex)
     return np.einsum("sii->s", prod) / N
 
 
-def _entry_values(mats, word, partition):
-    prod = None
-    row0 = None
-    prev_col = None
-    for idx, i, j, star in word:
-        if not (0 <= i < len(partition) and 0 <= j < len(partition)):
-            raise ValueError(f"block index ({i},{j}) outside partition {partition.d}")
-        blk = mats[idx][:, partition.slice_of(i), partition.slice_of(j)]
-        if star:
-            blk = _dagger(blk)
-            i, j = j, i
-        if prod is None:
-            prod, row0 = blk, i
-        else:
-            if prev_col != i:
-                raise ValueError(
-                    f"entry word does not conform: block row {i} follows column {prev_col}"
-                )
-            prod = prod @ blk
-        prev_col = j
-    if prod is None:
-        S = mats[0].shape[0] if mats else 0
-        return np.ones(S, dtype=complex)
-    if prev_col != row0:
-        raise ValueError(
-            f"entry word is not closed: starts at row {row0}, ends at column {prev_col}"
-        )
-    return np.einsum("sii->s", prod) / partition.d[row0]
-
-
-def estimate_wilson_many(lassos, words, cfg, partition=None):
-    """Estimate several observables over one lasso family with shared samples.
+def estimate_wilson_many(lassos, words, cfg):
+    """Estimate several scalar Wilson loops over one lasso family with shared samples.
 
     ``lassos`` is a list of (face area, orientation) pairs; orientation -1
-    means the lasso is traversed against its bulk.  Scalar observables are
-    words of (lasso index, exponent) pairs; entry observables are words of
-    (lasso index, block row, block column, star) and require ``partition``.
+    means the lasso is traversed against its bulk.  A word is a sequence
+    of (lasso index, exponent +1 or -1) letters, and its estimate is the
+    mean normalized trace of the letters' matrix product.
     """
     areas = []
     for area, orient in lassos:
@@ -403,15 +313,12 @@ def estimate_wilson_many(lassos, words, cfg, partition=None):
         if orient not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {orient}")
         areas.append(area)
-    if partition is not None and partition.N != cfg.N:
-        raise ValueError(f"partition covers {partition.N} but N = {cfg.N}")
     for word in words:
         for letter in word:
-            idx = letter[0]
-            if not (0 <= idx < len(lassos)):
-                raise ValueError(f"word references lasso {idx} of {len(lassos)}")
-            if partition is None and letter[1] not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {letter[1]}")
+            if len(letter) != 2 or letter[1] not in (1, -1):
+                raise ValueError(f"letter must be (lasso index, +1 or -1), got {letter!r}")
+            if not 0 <= letter[0] < len(lassos):
+                raise ValueError(f"word references lasso {letter[0]} of {len(lassos)}")
 
     mats = _lasso_matrices(cfg, areas)
     for k, (_, orient) in enumerate(lassos):
@@ -423,16 +330,8 @@ def estimate_wilson_many(lassos, words, cfg, partition=None):
         if len(word) == 0:
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue
-        if partition is None:
-            values = _scalar_values(mats, word, cfg.N)
-        else:
-            values = _entry_values(mats, word, partition)
+        values = _scalar_values(mats, word, cfg.N)
         mean = values.mean()
         stderr = float(values.std()) / math.sqrt(cfg.samples)
         out.append(WilsonEstimate(mean, stderr, cfg.samples))
     return out
-
-
-def estimate_wilson(lassos, word, cfg, partition=None):
-    """Single-observable form of estimate_wilson_many."""
-    return estimate_wilson_many(lassos, [word], cfg, partition=partition)[0]

@@ -24,12 +24,6 @@ __all__ = [
     "ZhangAlgebra",
     "AxiomReport",
     "AXIOM_NAMES",
-    "delta",
-    "antipode",
-    "counit",
-    "omega_c",
-    "unitarity_reduce",
-    "convolve",
     "verify_axiom",
 ]
 
@@ -384,9 +378,6 @@ class ZhangAlgebra:
 
         return img
 
-    def apply_morphism(self, f, x):
-        return _extend(x, f)
-
     # -- axiom checks ------------------------------------------------------
 
     def verify_axiom(self, name):
@@ -471,31 +462,7 @@ class ZhangAlgebra:
         raise AssertionError(name)
 
 
-# -- module-level wrappers (one stateless algebra per call) -----------------
-
-
-def delta(x, n, src=1, left=1, right=2):
-    return ZhangAlgebra(n).delta(x, src, left, right)
-
-
-def antipode(x, n, only_copy=None):
-    return ZhangAlgebra(n).antipode(x, only_copy)
-
-
-def counit(x, n, only_copy=None):
-    return ZhangAlgebra(n).counit(x, only_copy)
-
-
-def omega_c(x, n, src=1, gauge=1, body=2):
-    return ZhangAlgebra(n).omega_c(x, src, gauge, body)
-
-
-def unitarity_reduce(x, n):
-    return ZhangAlgebra(n).unitarity_reduce(x)
-
-
-def convolve(f, g, n):
-    return ZhangAlgebra(n).convolve(f, g)
+# -- module-level entry point (one stateless algebra per call) ------------
 
 
 def verify_axiom(name, n, corrupt=None):

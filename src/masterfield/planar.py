@@ -80,14 +80,6 @@ def step_end(v, s):
     return (v[0] + dx, v[1] + dy)
 
 
-def walk_vertices(word, start=(0, 0)):
-    """All vertices visited by a step word, in order (start included)."""
-    out = [start]
-    for s in word:
-        out.append(step_end(out[-1], s))
-    return out
-
-
 class Loop:
     """A closed lattice walk based at the origin, stored as a reduced word.
 
@@ -138,9 +130,6 @@ class Loop:
 
     def is_trivial(self):
         return not self.word
-
-    def vertices(self):
-        return walk_vertices(self.word)
 
 
 def loop_group_op(a, b):
@@ -200,9 +189,6 @@ class Face:
             raise ValueError(f"face walk has invalid signed area {a2}/2")
         self.area = a2 // 2
         self.cell = min(_left_cell(v, s) for v, s in walk)
-
-    def boundary_vertices(self):
-        return [v for v, _ in self.walk]
 
     def __repr__(self):
         return f"Face(id={self.id}, area={self.area}, word={self.word!r})"
@@ -287,9 +273,6 @@ class PlanarGraph:
             self._face_of[he] = None
 
     # -- queries -----------------------------------------------------------
-
-    def has_edge(self, v, s):
-        return _canon_edge(v, s)[0] in self.edges
 
     def face_areas(self):
         return [f.area for f in self.faces]
@@ -506,9 +489,6 @@ class LassoBasis:
         self.tree = tree
         self.lassos = lassos
         self._solved = None  # canonical non-tree edge -> LassoWord
-
-    def lasso_for(self, fid):
-        return self.lassos[fid]
 
     def loops(self):
         return tuple(l.loop() for l in self.lassos)

@@ -267,15 +267,51 @@ _BAD_TIMES = [
 ] + [("moments", "--t", value) for value in ("-1", "inf", "nan")]
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("the command ran on unusable input")
+
+
 @pytest.mark.parametrize("command,flag,value", _BAD_TIMES)
 def test_bad_times_and_scales_exit_2(capsys, monkeypatch, command, flag, value):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("the sampler ran on a bad time scale")
-
-    monkeypatch.setattr(cli, "estimate_wilson_many", no_sampling)
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
     rc, out, err = run(capsys, _TIME_FLAG_COMMANDS[command] + [flag, value])
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and "finite" in err
+
+
+_SAMPLER = ["--N", "2", "--samples", "2"]
+_BAD_PATHS = [
+    (["check", "braid", "--corpus", "{missing}"], "cannot read corpus"),
+    (["check", "area", "--corpus", "{dir}"], "cannot read corpus"),
+    (["mc", "--loops", "{dir}"], "cannot read corpus"),
+    (["eval", "--loop", "NESW", "--out", "{no_dir}/x.csv"], "cannot write"),
+    (["check", "gauge", "--out", "{dir}"], "cannot write"),
+    (["compare-mc", *_SAMPLER, "--out", "{no_dir}/x.csv"], "cannot write"),
+    (["compare-mc", *_SAMPLER, "--corpus", "{empty}"], "holds no loop"),
+    (["compare-mc", *_SAMPLER, "--corpus", "{comments}"], "holds no loop"),
+    (["check", "braid", "--corpus", "{empty}"], "holds no loop"),
+    (["check", "braid", "--corpus", "{comments}"], "holds no loop"),
+    (["mc", "--loops", "{comments}", *_SAMPLER], "holds no loop"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _BAD_PATHS, ids=[" ".join(a) for a, _ in _BAD_PATHS])
+def test_bad_paths_and_empty_corpora_exit_2(tmp_path, capsys, monkeypatch, argv, message):
+    # One stderr line and exit 2, before any loop is evaluated or sampled.
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "comments.txt").write_text("# no loops here\n\n   # nor here\n")
+    paths = {
+        "missing": tmp_path / "missing.txt",
+        "no_dir": tmp_path / "no_such_dir",
+        "dir": tmp_path,
+        "empty": tmp_path / "empty.txt",
+        "comments": tmp_path / "comments.txt",
+    }
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    rc, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and message in err
 
 
 def test_overflowing_face_area_exits_2(tmp_path, capsys):

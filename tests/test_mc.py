@@ -9,12 +9,9 @@ from masterfield import DEFAULT_CORPUS, _kernels, loop_observable, mc
 from masterfield.freeprob import State, product_state
 from masterfield.levy import fubm_moment, state_at
 from masterfield.mc import (
-    BlockPartition,
     MatrixSamplerConfig,
     WilsonEstimate,
-    estimate_wilson,
     estimate_wilson_many,
-    sample_ubm,
     sample_ubm_batch,
 )
 
@@ -32,20 +29,13 @@ def unitarity_defect(U):
 
 def test_time_zero_is_identity():
     cfg = cfg_small()
-    U = sample_ubm(cfg, 0.0)
+    U = sample_ubm_batch(cfg, 0.0)[0]
     assert np.array_equal(U, np.eye(cfg.N, dtype=complex))
 
 
 def test_unitarity_every_sample():
     cfg = cfg_small(samples=40)
     U = sample_ubm_batch(cfg, 1.5)
-    assert unitarity_defect(U) < 1e-8
-
-
-def test_orthogonal_variant():
-    cfg = cfg_small(samples=20, field_scalars="real")
-    U = sample_ubm_batch(cfg, 1.0)
-    assert U.dtype == np.float64
     assert unitarity_defect(U) < 1e-8
 
 
@@ -64,37 +54,20 @@ def test_worker_count_does_not_change_values():
     assert np.array_equal(U1, U3)
 
 
-def test_first_stream_consistency():
-    cfg = cfg_small(samples=25)
-    one = sample_ubm(cfg, 0.9)
-    batch = sample_ubm_batch(cfg, 0.9)
-    assert np.array_equal(one, batch[0])
-
-
-GOLDEN_BATCH = {
-    "complex": [
-        [[0.9672988268653848 + 0.07541573613706702j, -0.055523453946672054 + 0.14215151937865464j,
-          0.000843650951602753 + 0.18802879072364714j],
-         [-0.09927401486296428 - 0.015217218481008763j, 0.5376907496172285 + 0.512029520672985j,
-          -0.5948575450342758 + 0.29115637565738295j],
-         [0.014069429108306471 + 0.21991044469740137j, 0.47871380314552564 + 0.44300972225627133j,
-          0.6313372157145446 - 0.35697373600271265j]],
-        [[0.8581294007584312 - 0.1699157689536192j, 0.22147894151834688 + 0.021793165883137493j,
-          -0.2515254104246951 + 0.3492129254627701j],
-         [-0.31090370557563507 + 0.23707004250358887j, 0.46125249356317777 - 0.6139816502492339j,
-          -0.2878340461485271 + 0.4178048743413985j],
-         [-0.07627425077439182 + 0.27579246271492874j, 0.36881586245328846 + 0.4740460592880372j,
-          0.5770201138170314 + 0.47373382579813683j]],
-    ],
-    "real": [
-        [[0.9616809010364709, -0.26498117643988883, -0.07039048738441046],
-         [0.1540118846013739, 0.7345080274240111, -0.6608920464427013],
-         [0.22682633000429045, 0.624726287090772, 0.7471725919990396]],
-        [[0.8602230807565974, 0.47992549973667203, -0.17230138141099005],
-         [-0.47623051322640186, 0.8769184377127358, 0.06495038007258667],
-         [0.1822656018170943, 0.026183359256621443, 0.9829006471115435]],
-    ],
-}
+GOLDEN_BATCH = [
+    [[0.9672988268653848 + 0.07541573613706702j, -0.055523453946672054 + 0.14215151937865464j,
+      0.000843650951602753 + 0.18802879072364714j],
+     [-0.09927401486296428 - 0.015217218481008763j, 0.5376907496172285 + 0.512029520672985j,
+      -0.5948575450342758 + 0.29115637565738295j],
+     [0.014069429108306471 + 0.21991044469740137j, 0.47871380314552564 + 0.44300972225627133j,
+      0.6313372157145446 - 0.35697373600271265j]],
+    [[0.8581294007584312 - 0.1699157689536192j, 0.22147894151834688 + 0.021793165883137493j,
+      -0.2515254104246951 + 0.3492129254627701j],
+     [-0.31090370557563507 + 0.23707004250358887j, 0.46125249356317777 - 0.6139816502492339j,
+      -0.2878340461485271 + 0.4178048743413985j],
+     [-0.07627425077439182 + 0.27579246271492874j, 0.36881586245328846 + 0.4740460592880372j,
+      0.5770201138170314 + 0.47373382579813683j]],
+]
 
 GOLDEN_WILSON = [  # (mean, stderr) of the NESWNEESWNWS word to the powers 1, 2, 3
     (0.20398620416986402 + 0.06256617670914749j, 0.07538285304255013),
@@ -106,10 +79,9 @@ GOLDEN_WILSON = [  # (mean, stderr) of the NESWNEESWNWS word to the powers 1, 2,
 def test_stream_layout_golden_values():
     # Pins the sampled values themselves: the per-sample streams, the order
     # the kernel reads them in, and the Cayley step.
-    for scalars, want in GOLDEN_BATCH.items():
-        U = sample_ubm_batch(cfg_small(N=3, samples=2, field_scalars=scalars), 0.7)
-        assert U.dtype == (np.complex128 if scalars == "complex" else np.float64)
-        assert np.abs(U - np.array(want)).max() < 1e-12
+    U = sample_ubm_batch(cfg_small(N=3, samples=2), 0.7)
+    assert U.dtype == np.complex128
+    assert np.abs(U - np.array(GOLDEN_BATCH)).max() < 1e-12
     lassos, letters = loop_observable("NESWNEESWNWS")
     est = estimate_wilson_many(
         lassos, [tuple(letters) * k for k in (1, 2, 3)], cfg_small(N=4, samples=3)
@@ -118,38 +90,32 @@ def test_stream_layout_golden_values():
         assert abs(e.mean - mean) < 1e-12 and abs(e.stderr - stderr) < 1e-12
 
 
-def walk_one_draw_per_step(gens, N, steps, dt, scalars):
+def walk_one_draw_per_step(gens, N, steps, dt):
     """Reference walk: one ``standard_normal`` call per sample per step."""
-    dtype = np.complex128 if scalars == "complex" else np.float64
-    ident = np.eye(N, dtype=dtype)
+    ident = np.eye(N, dtype=np.complex128)
     U = np.broadcast_to(ident, (len(gens), N, N)).copy()
     for _ in range(steps):
-        if scalars == "complex":
-            raw = np.array([g.standard_normal((N, N, 2)) for g in gens])
-            Z = raw.view(np.complex128)[..., 0]
-            A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * 0.5 * math.sqrt(dt / N))
-        else:
-            raw = np.array([g.standard_normal((N, N)) for g in gens])
-            A = (raw - raw.transpose(0, 2, 1)) * math.sqrt(dt / (2 * N))
+        raw = np.array([g.standard_normal((N, N, 2)) for g in gens])
+        Z = raw.view(np.complex128)[..., 0]
+        A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * 0.5 * math.sqrt(dt / N))
         B = A - (A @ A @ A) / 12.0
         U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
     return U
 
 
 def test_block_draws_match_one_draw_per_step():
-    # At N=16 with 8 samples a block holds 16 complex steps (32 real), so
-    # 50 steps cross full blocks and end in a partial one.  The generators
-    # must also stand where one draw per step leaves them: no stream is
-    # read past the call's last step.
+    # At N=16 with 8 samples a block holds 16 steps, so 50 steps cross
+    # full blocks and end in a partial one.  The generators must also stand
+    # where one draw per step leaves them: no stream is read past the
+    # call's last step.
     N, S, steps = 16, 8, 50
     assert _kernels._NOISE_FLOATS // (S * N * N * 2) == 16
-    for scalars in ("complex", "real"):
-        gens, oracle = mc._streams(3, S), mc._streams(3, S)
-        U = _kernels.evolve_unitaries(gens, N, 1.0, steps, scalars)
-        assert np.array_equal(U, walk_one_draw_per_step(oracle, N, steps, 1.0 / steps, scalars))
-        assert [repr(g.bit_generator.state) for g in gens] == [
-            repr(g.bit_generator.state) for g in oracle
-        ]
+    gens, oracle = mc._streams(3, S), mc._streams(3, S)
+    U = _kernels.evolve_unitaries(gens, N, 1.0, steps)
+    assert np.array_equal(U, walk_one_draw_per_step(oracle, N, steps, 1.0 / steps))
+    assert [repr(g.bit_generator.state) for g in gens] == [
+        repr(g.bit_generator.state) for g in oracle
+    ]
 
 
 def test_check_unitary_checks_every_matrix():
@@ -196,8 +162,6 @@ def test_config_validation(monkeypatch):
         MatrixSamplerConfig(samples=0)
     with pytest.raises(ValueError, match="step_count too small"):
         MatrixSamplerConfig(step_count=20)
-    with pytest.raises(ValueError):
-        MatrixSamplerConfig(field_scalars="quaternion")
     for workers in (0, -5):
         with pytest.raises(ValueError, match="worker count"):
             MatrixSamplerConfig(workers=workers)
@@ -206,28 +170,14 @@ def test_config_validation(monkeypatch):
         MatrixSamplerConfig()
 
 
-def test_block_partition():
-    p = BlockPartition((1, 3))
-    assert p.N == 4
-    assert p.projector(0)[0, 0] == 1
-    assert p.projector(0).sum() == 1
-    total = sum(p.projector(i) for i in range(2))
-    assert np.array_equal(total, np.eye(4))
-    assert np.array_equal(p.projector(0) @ p.projector(1), np.zeros((4, 4)))
-    sq = BlockPartition.square(2, 2)
-    assert sq.d == (2, 2)
-    with pytest.raises(ValueError):
-        BlockPartition((2, 0))
-
-
 def test_estimate_empty_word():
-    est = estimate_wilson([(1.0, 1)], [], cfg_small(samples=8))
+    est = estimate_wilson_many([(1.0, 1)], [[]], cfg_small(samples=8))[0]
     assert est.mean == 1.0 and est.stderr == 0.0
 
 
 def test_estimate_single_lasso_moment():
     cfg = MatrixSamplerConfig(N=32, samples=300, seed=31, step_count=50)
-    est = estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
+    est = estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg)[0]
     assert abs(est.mean - fubm_moment(1.0, 1)) < 3 * est.stderr + 1e-4
     assert est.samples == 300
 
@@ -235,7 +185,7 @@ def test_estimate_single_lasso_moment():
 def test_estimate_many_shares_samples():
     cfg = cfg_small(samples=60)
     a, b = estimate_wilson_many([(0.5, 1)], [[(0, 1)], [(0, 1), (0, 1)]], cfg)
-    single = estimate_wilson([(0.5, 1)], [(0, 1)], cfg)
+    single = estimate_wilson_many([(0.5, 1)], [[(0, 1)]], cfg)[0]
     assert a.mean == single.mean and a.stderr == single.stderr
     assert b.mean != a.mean
 
@@ -268,7 +218,7 @@ def test_calls_sharing_a_config_match_fresh_configs():
         gens = mc._streams(cfg.seed, cfg.samples)
         mats = []
         for area, orient in lassos:
-            U = _kernels.evolve_unitaries(gens, cfg.N, area, cfg.step_count, cfg.field_scalars)
+            U = _kernels.evolve_unitaries(gens, cfg.N, area, cfg.step_count)
             mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
         out = []
         for word in words:
@@ -276,7 +226,7 @@ def test_calls_sharing_a_config_match_fresh_configs():
             out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
         return out
 
-    for kw in ({}, {"field_scalars": "real"}, {"workers": 3}):
+    for kw in ({}, {"workers": 3}):
         shared = cfg_small(N=6, samples=10, **kw)
         for lassos, words in calls:
             got = values(lassos, words, shared)
@@ -284,8 +234,7 @@ def test_calls_sharing_a_config_match_fresh_configs():
             assert got == values(lassos, words, fresh)
             assert got == walked_in_one_go(lassos, words, fresh)
 
-    for change in ({"seed": 6}, {"N": 5}, {"samples": 9}, {"step_count": 60},
-                   {"field_scalars": "real"}):
+    for change in ({"seed": 6}, {"N": 5}, {"samples": 9}, {"step_count": 60}):
         shared = cfg_small(N=6, samples=10)
         lassos, words = calls[4]
         values(lassos, words, shared)
@@ -313,18 +262,18 @@ def test_failed_call_leaves_no_unfilled_snapshot(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mc, "evolve_unitaries", fail)
         with pytest.raises(KeyboardInterrupt):
-            estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
-    fresh = estimate_wilson([(1.0, 1)], [(0, 1)], cfg_small(N=4, samples=5))
-    assert estimate_wilson([(1.0, 1)], [(0, 1)], cfg).mean == fresh.mean
+            estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg)
+    fresh = estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg_small(N=4, samples=5))[0]
+    assert estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg)[0].mean == fresh.mean
 
 
 def test_used_config_copies_without_its_paths():
     cfg = cfg_small(N=4, samples=3)
-    est = estimate_wilson([(1.0, 1)], [(0, 1)], cfg)
+    est = estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg)[0]
     for twin in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
         assert twin._paths is None and cfg._paths is not None
         assert repr(twin) == repr(cfg)
-        assert estimate_wilson([(1.0, 1)], [(0, 1)], twin).mean == est.mean
+        assert estimate_wilson_many([(1.0, 1)], [[(0, 1)]], twin)[0].mean == est.mean
 
 
 def test_batch_is_the_callers_copy():
@@ -337,20 +286,24 @@ def test_batch_is_the_callers_copy():
 
 def test_orientation_flag_conjugates():
     cfg = cfg_small(samples=40)
-    plus = estimate_wilson([(0.8, 1)], [(0, 1)], cfg)
-    minus = estimate_wilson([(0.8, -1)], [(0, 1)], cfg)
+    plus = estimate_wilson_many([(0.8, 1)], [[(0, 1)]], cfg)[0]
+    minus = estimate_wilson_many([(0.8, -1)], [[(0, 1)]], cfg)[0]
     assert abs(minus.mean - plus.mean.conjugate()) < 1e-12
 
 
 def test_word_validation():
     cfg = cfg_small(samples=4)
     with pytest.raises(ValueError, match="references lasso"):
-        estimate_wilson([(1.0, 1)], [(1, 1)], cfg)
-    with pytest.raises(ValueError):
-        estimate_wilson([(1.0, 2)], [(0, 1)], cfg)
+        estimate_wilson_many([(1.0, 1)], [[(1, 1)]], cfg)
+    with pytest.raises(ValueError, match="orientation"):
+        estimate_wilson_many([(1.0, 2)], [[(0, 1)]], cfg)
+    # a letter is (lasso index, +1 or -1); block-entry letters are rejected
+    for letter in ((0, 0, 0, False), (0, 2), (0, 1, 0, False)):
+        with pytest.raises(ValueError, match="letter must be"):
+            estimate_wilson_many([(1.0, 1)], [[letter]], cfg)
     for area in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"face area must be finite and >= 0, got {area}"):
-            estimate_wilson([(area, 1)], [(0, 1)], cfg)
+            estimate_wilson_many([(area, 1)], [[(0, 1)]], cfg)
 
 
 def test_classical_gauge_invariance():
@@ -388,42 +341,6 @@ def test_classical_braid_invariance():
     m_braid, se_braid = est(braided)
     m_fresh, se_fresh = est(fresh)
     assert abs(m_braid - m_fresh) < 3 * math.hypot(se_braid, se_fresh)
-
-
-def test_entry_word_block_trace():
-    # Entry observables take the normalized trace of a block product; for
-    # the trivial partition they reduce to the scalar observable.
-    cfg = cfg_small(samples=30)
-    p = BlockPartition((cfg.N,))
-    scalar = estimate_wilson([(0.7, 1)], [(0, 1)], cfg)
-    entry = estimate_wilson([(0.7, 1)], [(0, 0, 0, False)], cfg, partition=p)
-    assert abs(scalar.mean - entry.mean) < 1e-12
-
-    half = BlockPartition.square(2, cfg.N // 2)
-    est = estimate_wilson([(0.7, 1)], [(0, 0, 0, False)], cfg, partition=half)
-    assert est.stderr > 0
-    # row relation: sum_j u_0j u_0j* = 1 exactly, sample by sample
-    ests = estimate_wilson_many(
-        [(0.7, 1)],
-        [[(0, 0, 0, False), (0, 0, 0, True)], [(0, 0, 1, False), (0, 0, 1, True)]],
-        cfg,
-        partition=half,
-    )
-    total = ests[0].mean + ests[1].mean
-    assert abs(total - 1.0) < 1e-10
-
-
-def test_entry_word_validation():
-    cfg = cfg_small(samples=4)
-    p = BlockPartition.square(2, cfg.N // 2)
-    with pytest.raises(ValueError, match="conform"):
-        estimate_wilson([(0.5, 1)], [(0, 0, 0, False), (0, 1, 0, False)], cfg, partition=p)
-    with pytest.raises(ValueError, match="not closed"):
-        estimate_wilson([(0.5, 1)], [(0, 0, 1, False)], cfg, partition=p)
-    with pytest.raises(ValueError, match="outside partition"):
-        estimate_wilson([(0.5, 1)], [(0, 0, 5, False)], cfg, partition=p)
-    with pytest.raises(ValueError, match="partition covers"):
-        estimate_wilson([(0.5, 1)], [(0, 0, 0, False)], cfg, partition=BlockPartition((3,)))
 
 
 def test_block_moments_drift_toward_reference():
