@@ -7,11 +7,17 @@ the loop into a word in the basis, attach to each lasso the semigroup
 state at its face area, combine the marginals with the chosen product,
 and take the moment of the word (raised to the requested power).
 
+A field keeps, per loop, only the lasso word and the face areas; the graph
+and basis are dropped once the word is known.  The product state depends
+on the loop only through its tuple of face areas, so the field builds one
+state per tuple and every loop with those areas shares it and its memos.
+
 The check_* operations verify the field's defining invariances: braid
 moves of the basis, area-preserving rearrangement, infinite divisibility
 under face merges, and gauge conjugation by a free Haar unitary.
 """
 
+import operator
 from math import inf, isfinite
 
 from .freeprob import haar_unitary_state, product_state
@@ -69,7 +75,8 @@ class HolonomyField:
         self.product = product
         self.t_scale = float(t_scale)
         self.tree_priority = tree_priority
-        self._contexts = {}
+        self._contexts = {}  # loop word -> _LoopContext
+        self._states = {}  # scaled face-area tuple -> product state
 
     def __repr__(self):
         return f"HolonomyField(product={self.product!r}, t_scale={self.t_scale})"
@@ -92,23 +99,29 @@ class FieldValue:
 
 
 def _lasso_word(loop, t_scale, tree_priority):
-    """The loop's lasso basis, its word in that basis, and each lasso's scaled area."""
+    """The loop's word in its lasso basis, and each lasso's scaled face area."""
     basis = lasso_basis(build_graph([loop]), priority=tree_priority)
     areas = tuple(l.face.area * t_scale for l in basis.lassos)
     if not all(map(isfinite, areas)):
         raise ValueError(f"face areas of {loop.word} at t_scale {t_scale} are not finite")
-    return basis, decompose(loop, basis).letters, areas
+    return decompose(loop, basis).letters, areas
 
 
 class _LoopContext:
-    """Everything reusable about one loop under one field: basis, word, state."""
+    """What evaluating one loop under one field reads: word, areas, state.
+
+    The state is the field's product state for these areas, shared with
+    every other context whose lassos have the same areas.
+    """
+
+    __slots__ = ("letters", "areas", "state")
 
     def __init__(self, field, loop):
-        self.basis, self.letters, self.areas = _lasso_word(
-            loop, field.t_scale, field.tree_priority
-        )
-        marginals = [state_at(a) for a in self.areas]
-        self.state = product_state(marginals, field.product) if marginals else None
+        self.letters, self.areas = _lasso_word(loop, field.t_scale, field.tree_priority)
+        self.state = field._states.get(self.areas)
+        if self.state is None and self.areas:
+            marginals = [state_at(a) for a in self.areas]
+            self.state = field._states[self.areas] = product_state(marginals, field.product)
 
     def moment(self, letters):
         if self.state is None:
@@ -132,6 +145,12 @@ def _as_loop(loop):
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
     loop = _as_loop(loop)
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"power must be an integer, got {k!r}") from None
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:
@@ -143,7 +162,7 @@ def evaluate(field, loop, k=1):
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
     """The sampler's view of a loop: (area, orientation) lassos and the word."""
-    _, letters, areas = _lasso_word(_as_loop(loop), t_scale, tree_priority)
+    letters, areas = _lasso_word(_as_loop(loop), t_scale, tree_priority)
     return [(a, 1) for a in areas], list(letters)
 
 
@@ -215,13 +234,13 @@ def check_braid_invariance(
     for word in loops if loops is not None else DEFAULT_CORPUS:
         loop = _as_loop(word)
         ctx = _context(field, loop)
-        m = min(len(ctx.basis.lassos), max_strands)
+        m = min(len(ctx.areas), max_strands)
         base_letters = tuple(ctx.letters) * k
         base_value = ctx.moment(base_letters)
         braid_list = (
             braids if braids is not None else _braid_words(m - 1, max_len)
         )
-        generators = [LassoWord([(i, 1)]) for i in range(len(ctx.basis.lassos))]
+        generators = [LassoWord([(i, 1)]) for i in range(len(ctx.areas))]
         for braid in braid_list:
             if not braid:
                 report.record(f"{loop.word} | identity braid", 0.0)
@@ -263,12 +282,10 @@ def check_infinite_divisibility(field, pairs=None, kmax=5, tol=1e-10):
     return report
 
 
-def _combinatorics(field, loop):
-    ctx = _context(field, loop)
-    areas = tuple(sorted(l.face.area for l in ctx.basis.lassos))
-    profile = winding_profile(loop, ctx.basis.graph)
-    windings = tuple(sorted(abs(w) for w in profile))
-    return len(ctx.basis.lassos), areas, windings
+def _combinatorics(loop):
+    graph = build_graph([loop])
+    windings = tuple(sorted(abs(w) for w in winding_profile(loop, graph)))
+    return len(graph.faces), tuple(sorted(graph.face_areas())), windings
 
 
 def check_area_invariance(field, pairs=None, kmax=4, tol=1e-10):
@@ -286,7 +303,7 @@ def check_area_invariance(field, pairs=None, kmax=4, tol=1e-10):
     report = CheckReport("area invariance", tol)
     for a, b in pairs:
         la, lb = _as_loop(a), _as_loop(b)
-        ca, cb = _combinatorics(field, la), _combinatorics(field, lb)
+        ca, cb = _combinatorics(la), _combinatorics(lb)
         if ca != cb:
             raise ValueError(
                 f"embedding pair {la.word!r} / {lb.word!r} is not comparable: "

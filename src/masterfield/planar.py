@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 __all__ = [
     "STEPS",
     "DELTA",
@@ -47,10 +49,20 @@ __all__ = [
 STEPS = "NESW"
 DELTA = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 OPPOSITE = {"N": "S", "S": "N", "E": "W", "W": "E"}
+# Translation table from the byte values 0..3 to the step letters.
+_STEP_BYTES = bytes.maketrans(bytes(range(4)), STEPS.encode())
 
 # Outgoing directions around a vertex in anticlockwise rotation order.
 _ROT = "ENWS"
 _ROTI = {s: i for i, s in enumerate(_ROT)}
+# Arriving by step s, the steps to try next, turning clockwise from the way
+# back (which is always there: a dead end turns around).
+_TURNS = {
+    s: [_ROT[(_ROTI[OPPOSITE[s]] - k) % 4] for k in (1, 2, 3)] + [OPPOSITE[s]]
+    for s in STEPS
+}
+# Offset from a half-edge's tail to the lower-left corner of the cell on its left.
+_LEFT = {"N": (-1, 0), "E": (0, 0), "S": (0, -1), "W": (-1, -1)}
 
 
 def _check_steps(word):
@@ -148,27 +160,6 @@ def _canon_edge(v, s):
     return (step_end(v, s), OPPOSITE[s]), -1
 
 
-def _left_cell(v, s):
-    """The unit cell on the left of the directed edge ``(v, s)`` (lower-left corner)."""
-    x, y = v
-    if s == "N":
-        return (x - 1, y)
-    if s == "E":
-        return (x, y)
-    if s == "S":
-        return (x, y - 1)
-    return (x - 1, y - 1)
-
-
-def _walk_area2(walk):
-    """Twice the signed shoelace area of a closed half-edge walk."""
-    a2 = 0
-    for (x, y), s in walk:
-        dx, dy = DELTA[s]
-        a2 += x * dy - y * dx
-    return a2
-
-
 class Face:
     """A bounded face of a drawing: a union of unit cells with area > 0.
 
@@ -180,15 +171,12 @@ class Face:
 
     __slots__ = ("id", "walk", "word", "area", "cell")
 
-    def __init__(self, fid, walk):
+    def __init__(self, fid, walk, area, cell):
         self.id = fid
         self.walk = tuple(walk)
         self.word = "".join(s for _, s in walk)
-        a2 = _walk_area2(walk)
-        if a2 <= 0 or a2 % 2:
-            raise ValueError(f"face walk has invalid signed area {a2}/2")
-        self.area = a2 // 2
-        self.cell = min(_left_cell(v, s) for v, s in walk)
+        self.area = area
+        self.cell = cell
 
     def __repr__(self):
         return f"Face(id={self.id}, area={self.area}, word={self.word!r})"
@@ -221,47 +209,42 @@ class PlanarGraph:
 
     # -- face tracing ------------------------------------------------------
 
-    def _next_half_edge(self, he):
-        v, s = he
-        w = step_end(v, s)
-        back = OPPOSITE[s]
-        i = _ROTI[back]
-        for k in range(1, 4):
-            cand = _ROT[(i - k) % 4]
-            if cand in self.adj[w]:
-                return (w, cand)
-        return (w, back)  # dead end: turn around
-
     def _trace_faces(self):
-        half_edges = sorted(
-            ((v, s) for v, steps in self.adj.items() for s in steps),
-            key=lambda he: (he[0], _ROTI[he[1]]),
-        )
+        adj = self.adj
         seen = set()
         bounded = []
         outer = None
-        for start in half_edges:
-            if start in seen:
-                continue
-            orbit = []
-            cur = start
-            while True:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = self._next_half_edge(cur)
-                if cur == start:
-                    break
-            j = min(range(len(orbit)), key=lambda i: (orbit[i][0], _ROTI[orbit[i][1]]))
-            orbit = orbit[j:] + orbit[:j]
-            a2 = _walk_area2(orbit)
-            if a2 > 0:
-                bounded.append(orbit)
-            else:
-                if outer is not None:
-                    raise RuntimeError("drawing is not connected through the origin")
-                outer = orbit
-        bounded.sort(key=lambda orbit: min(_left_cell(v, s) for v, s in orbit))
-        self.faces = [Face(i, orbit) for i, orbit in enumerate(bounded)]
+        for v0, steps in adj.items():
+            for s0 in steps:
+                if (v0, s0) in seen:
+                    continue
+                orbit = []
+                a2 = 0
+                v, s = v0, s0
+                while True:
+                    orbit.append((v, s))
+                    x, y = v
+                    dx, dy = DELTA[s]
+                    a2 += x * dy - y * dx
+                    v = (x + dx, y + dy)
+                    out = adj[v]
+                    for s in _TURNS[s]:
+                        if s in out:
+                            break
+                    if s == s0 and v == v0:
+                        break
+                seen.update(orbit)
+                j = min(range(len(orbit)), key=lambda i: (orbit[i][0], _ROTI[orbit[i][1]]))
+                orbit = orbit[j:] + orbit[:j]
+                if a2 > 0:
+                    cell = min((x + _LEFT[s][0], y + _LEFT[s][1]) for (x, y), s in orbit)
+                    bounded.append((cell, orbit, a2 // 2))
+                else:
+                    if outer is not None:
+                        raise RuntimeError("drawing is not connected through the origin")
+                    outer = orbit
+        bounded.sort()
+        self.faces = [Face(i, orbit, area, cell) for i, (cell, orbit, area) in enumerate(bounded)]
         self.outer_walk = tuple(outer) if outer is not None else ()
         self.total_area = sum(f.area for f in self.faces)
         # Which face is on the left of each half-edge (None for the unbounded face).
@@ -689,12 +672,11 @@ def random_loop(rng, max_len=24, max_tries=2000):
     """
     for _ in range(max_tries):
         n = 2 * int(rng.integers(2, max_len // 2 + 1))
-        word = "".join(STEPS[int(k)] for k in rng.integers(0, 4, size=n))
-        x = word.count("E") - word.count("W")
-        y = word.count("N") - word.count("S")
-        if (x, y) != (0, 0):
+        draws = rng.integers(0, 4, size=n)
+        north, east, south, west = np.bincount(draws, minlength=4)
+        if north != south or east != west:
             continue
-        red = reduce_word(word)
+        red = reduce_word(draws.astype(np.uint8).tobytes().translate(_STEP_BYTES).decode())
         if red:
             return Loop(red)
     raise RuntimeError("failed to sample a closed loop")

@@ -1,7 +1,9 @@
 """Exact field evaluation on lattice loops, plus the invariance sweeps."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from masterfield.freeprob import product_state
@@ -17,7 +19,7 @@ from masterfield.holonomy import (
     loop_observable,
 )
 from masterfield.levy import fubm_moment, state_at
-from masterfield.planar import Loop, build_graph, decompose, lasso_basis
+from masterfield.planar import Loop, build_graph, decompose, lasso_basis, random_loop
 
 
 FIELD = HolonomyField()
@@ -206,6 +208,12 @@ def test_field_validation_and_inexact_refusal():
         loop_observable("NESW", t_scale=math.nan)
     with pytest.raises(ValueError, match="power"):
         evaluate(FIELD, "NESW", -1)
+    for bad in (2.0, True, False, "2", None):
+        with pytest.raises(ValueError, match="power must be an integer"):
+            evaluate(FIELD, "NESW", bad)
+    got = evaluate(FIELD, "NESW", np.int64(2))
+    assert got.observable == 2 and type(got.observable) is int
+    assert got.value == evaluate(FIELD, "NESW", 2).value
     with pytest.raises(ValueError):
         evaluate(FIELD, "NE")  # not closed
 
@@ -214,3 +222,34 @@ def test_longest_corpus_loop_at_power_seven():
     # recorded with the subset expansion the cumulant route replaced
     value = evaluate(HolonomyField(), "NESWNEESWNWSEENESWWW", 7).value
     assert value == pytest.approx(0.016963485416296217, abs=1e-12)
+
+
+@pytest.mark.parametrize("product", HolonomyField.PRODUCTS)
+def test_one_field_matches_a_fresh_field_per_loop(product):
+    """Shared contexts and states give every value a fresh field gives."""
+    calls = [(w, k) for w in DEFAULT_CORPUS for k in range(1, 7)]
+    want = {}
+    for w in DEFAULT_CORPUS:
+        fresh = HolonomyField(product=product)
+        for k in range(1, 7):
+            want[w, k] = evaluate(fresh, w, k).value
+    for seed in (0, 1, 2):
+        random.Random(seed).shuffle(calls)
+        field = HolonomyField(product=product)
+        for w, k in calls:
+            assert evaluate(field, w, k).value == want[w, k]
+
+
+def test_field_holds_one_state_per_area_tuple():
+    rng = np.random.default_rng(3)
+    words = list(DEFAULT_CORPUS) + [random_loop(rng).word for _ in range(100)]
+    field = HolonomyField(t_scale=0.5)
+    for w in words:
+        evaluate(field, w, 2)
+    contexts = field._contexts.values()
+    tuples = {ctx.areas for ctx in contexts}
+    assert len(field._states) == len(tuples) < len(contexts)
+    for ctx in contexts:
+        assert ctx.state is field._states[ctx.areas]
+        assert not hasattr(ctx, "basis")
+    assert HolonomyField()._states == {}

@@ -6,9 +6,12 @@ a second ray direction for winding numbers, and Green's theorem tying
 windings to the shoelace area.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from masterfield.holonomy import _lasso_word
 from masterfield.planar import (
     DELTA,
     OPPOSITE,
@@ -313,3 +316,42 @@ def test_trivial_and_tree_only_drawings():
     # a backtracking word reduces to nothing before drawing
     g2 = build_graph(Loop("NESWWSEN"[:0]))
     assert g2.faces == []
+
+
+# Pinned digests: any change to face numbering, boundary rotation, lasso
+# choice or the way random_loop consumes its generator changes them.
+GOLDEN_LASSO_WORDS = "bf4855ec4128aab1cd1ae1a0fdbc7b11d6e6e2318941d3cfd5d994826babd4b3"
+GOLDEN_FACES = "e64a6d187bc6775ebad358376324b1d0abd52f4738930d315655982366e93cfb"
+GOLDEN_RANDOM_LOOPS = "78f5c184999437995c40199ecf9b17c232a92499ab2b30a00e6d3ca9ab0cecfb"
+
+
+def test_lasso_words_golden_digest():
+    rng = np.random.default_rng(2024)
+    words = CORPUS_WORDS + [random_loop(rng).word for _ in range(300)]
+    h = hashlib.sha256()
+    for priority in ("NESW", "WSEN"):
+        for w in words:
+            letters, areas = _lasso_word(Loop(w), 1.0, priority)
+            h.update(repr((letters, areas)).encode())
+    assert h.hexdigest() == GOLDEN_LASSO_WORDS
+
+
+def test_faces_golden_digest():
+    rng = np.random.default_rng(7)
+    words = CORPUS_WORDS + [random_loop(rng, 40).word for _ in range(500)]
+    h = hashlib.sha256()
+    for w in words:
+        g = build_graph([Loop(w)])
+        for f in g.faces:
+            h.update(repr((f.id, f.walk, f.word, f.area, f.cell)).encode())
+        h.update(repr((g.outer_walk, g.total_area)).encode())
+    assert h.hexdigest() == GOLDEN_FACES
+
+
+def test_random_loop_golden_digest():
+    h = hashlib.sha256()
+    for seed in (1, 5):
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            h.update(random_loop(rng).word.encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_RANDOM_LOOPS
