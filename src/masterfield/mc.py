@@ -26,6 +26,7 @@ are freed with the config.
 """
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,15 +45,40 @@ __all__ = [
 _UNITARITY_TOL = 1e-8
 
 
-def default_workers():
-    raw = os.environ.get("MASTERFIELD_WORKERS", "1")
+# A batch splits across the usable CPUs by default once samples * N**3
+# reaches this; below it, thread dispatch costs more than the split saves.
+_SPLIT_WORK = 2**15
+
+
+def _worker_count(workers):
     try:
-        w = int(raw)
-    except ValueError:
+        if isinstance(workers, bool):
+            raise TypeError
+        w = operator.index(workers)
+    except TypeError:
         w = 0
     if w < 1:
-        raise ValueError(f"MASTERFIELD_WORKERS must be an integer >= 1, got {raw!r}")
+        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
     return w
+
+
+def default_workers(N, samples):
+    """MASTERFIELD_WORKERS if set, else one per usable CPU for a big enough batch."""
+    raw = os.environ.get("MASTERFIELD_WORKERS")
+    if raw is not None:
+        try:
+            w = int(raw)
+        except ValueError:
+            w = 0
+        if w < 1:
+            raise ValueError(f"MASTERFIELD_WORKERS must be an integer >= 1, got {raw!r}")
+        return w
+    if samples * N**3 < _SPLIT_WORK:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 class MatrixSamplerConfig:
@@ -60,7 +86,9 @@ class MatrixSamplerConfig:
 
     ``step_count`` is the number of SDE steps per unit of time; at least
     50 per unit time are required for the retraction error to stay well
-    under the statistical resolution.
+    under the statistical resolution.  ``workers`` threads split the
+    samples; by default MASTERFIELD_WORKERS, else one per usable CPU when
+    samples * N**3 >= _SPLIT_WORK and one otherwise.
     """
 
     def __init__(
@@ -80,9 +108,7 @@ class MatrixSamplerConfig:
                 "step_count too small: need at least 50 steps per unit time, "
                 f"got {step_count} (unitarity/discretization drift exceeds tolerance)"
             )
-        workers = default_workers() if workers is None else int(workers)
-        if workers < 1:
-            raise ValueError(f"worker count must be at least 1, got {workers}")
+        workers = default_workers(N, samples) if workers is None else _worker_count(workers)
         self.N = N
         self.samples = samples
         self.seed = seed

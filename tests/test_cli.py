@@ -1,5 +1,6 @@
 """Command-line interface: golden rows, exit codes, corpus files, determinism."""
 
+import os
 import subprocess
 import sys
 
@@ -134,16 +135,20 @@ def test_check_braid_with_corpus_file(tmp_path, capsys):
     assert lines[1].startswith("braid,")
 
 
-def test_mc_schema_and_worker_independence(tmp_path):
+def test_mc_schema_and_worker_independence(tmp_path, monkeypatch):
+    # with two usable CPUs the default splits N=8, 64 samples two ways
+    monkeypatch.delenv("MASTERFIELD_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert MatrixSamplerConfig(N=8, samples=64).workers == 2
     corpus = tmp_path / "loops.txt"
     corpus.write_text("NESW\nNESENWSW\n")
-    base = ["mc", "--loops", str(corpus), "--N", "8", "--samples", "16",
+    base = ["mc", "--loops", str(corpus), "--N", "8", "--samples", "64",
             "--seed", "3", "--steps", "50"]
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
+    a, b, c = (tmp_path / f"{name}.csv" for name in "abc")
     assert main(base + ["--out", str(a)]) == 0
-    assert main(base + ["--workers", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    assert main(base + ["--workers", "1", "--out", str(b)]) == 0
+    assert main(base + ["--workers", "4", "--out", str(c)]) == 0
+    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
     lines = a.read_text().splitlines()
     assert lines[0] == "word,mean_re,mean_im,stderr"
     assert len(lines) == 3
@@ -167,7 +172,7 @@ def test_mc_rejects_bad_sampler_config(capsys):
     rc, out, err = run(capsys, ["compare-mc", "--kmax", "0"])
     assert rc == 2 and out == "" and "kmax must be >= 1" in err
     rc, _, err = run(capsys, ["mc", "--loops", "default", "--workers", "-5"])
-    assert rc == 2 and "worker count must be at least 1" in err
+    assert rc == 2 and "worker count must be an integer >= 1, got -5" in err
 
 
 def test_compare_mc_small_pass(tmp_path, capsys):

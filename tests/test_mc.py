@@ -1,6 +1,8 @@
 import copy
 import math
+import os
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -48,10 +50,34 @@ def test_seed_determinism_bit_exact():
     assert np.abs(U1 - U3).max() > 1e-3
 
 
-def test_worker_count_does_not_change_values():
-    U1 = sample_ubm_batch(cfg_small(samples=30, workers=1), 0.6)
-    U3 = sample_ubm_batch(cfg_small(samples=30, workers=3), 0.6)
-    assert np.array_equal(U1, U3)
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """No MASTERFIELD_WORKERS, and four usable CPUs."""
+    monkeypatch.delenv("MASTERFIELD_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+def test_default_worker_rule(four_cpus, monkeypatch):
+    # the default splits a batch across the usable CPUs once samples * N**3
+    # reaches the threshold, and keeps smaller batches on one thread
+    assert MatrixSamplerConfig(N=64, samples=2).workers == 4
+    assert MatrixSamplerConfig(N=4, samples=100).workers == 1
+    assert MatrixSamplerConfig(N=8, samples=mc._SPLIT_WORK // 8**3).workers == 4
+    assert MatrixSamplerConfig(N=8, samples=mc._SPLIT_WORK // 8**3 - 1).workers == 1
+    for N, samples in ((64, 2), (4, 100)):
+        assert MatrixSamplerConfig(N=N, samples=samples, workers=3).workers == 3
+        with monkeypatch.context() as m:
+            m.setenv("MASTERFIELD_WORKERS", "3")
+            assert MatrixSamplerConfig(N=N, samples=samples).workers == 3
+            assert MatrixSamplerConfig(N=N, samples=samples, workers=2).workers == 2
+
+
+def test_worker_count_does_not_change_values(four_cpus):
+    default = cfg_small(samples=30)
+    assert default.workers == 4
+    U = sample_ubm_batch(default, 0.6)
+    for workers in (1, 3):
+        assert np.array_equal(sample_ubm_batch(cfg_small(samples=30, workers=workers), 0.6), U)
 
 
 GOLDEN_BATCH = [
@@ -162,9 +188,11 @@ def test_config_validation(monkeypatch):
         MatrixSamplerConfig(samples=0)
     with pytest.raises(ValueError, match="step_count too small"):
         MatrixSamplerConfig(step_count=20)
-    for workers in (0, -5):
-        with pytest.raises(ValueError, match="worker count"):
+    for workers in (0, -5, 1.5, True, "2"):
+        msg = f"worker count must be an integer >= 1, got {workers!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
             MatrixSamplerConfig(workers=workers)
+    assert MatrixSamplerConfig(workers=np.int64(2)).workers == 2
     monkeypatch.setenv("MASTERFIELD_WORKERS", "0")
     with pytest.raises(ValueError, match="MASTERFIELD_WORKERS"):
         MatrixSamplerConfig()
@@ -190,7 +218,7 @@ def test_estimate_many_shares_samples():
     assert b.mean != a.mean
 
 
-def test_calls_sharing_a_config_match_fresh_configs():
+def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     # A config keeps the paths evolved through it.  Every call through a
     # shared config must give bit for bit what the same call gives on a
     # fresh, equal config: corpus lassos (slots at offsets > 0, prefixes,
@@ -226,13 +254,14 @@ def test_calls_sharing_a_config_match_fresh_configs():
             out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
         return out
 
-    for kw in ({}, {"workers": 3}):
-        shared = cfg_small(N=6, samples=10, **kw)
-        for lassos, words in calls:
-            got = values(lassos, words, shared)
-            fresh = cfg_small(N=6, samples=10, **kw)
-            assert got == values(lassos, words, fresh)
-            assert got == walked_in_one_go(lassos, words, fresh)
+    # at N=16 and 8 samples the default splits the samples four ways
+    assert cfg_small(N=16, samples=8).workers == 4
+    walked = [walked_in_one_go(*call, cfg_small(N=16, samples=8)) for call in calls]
+    for kw in ({"workers": 1}, {}, {"workers": 3}):
+        shared = cfg_small(N=16, samples=8, **kw)
+        for (lassos, words), want in zip(calls, walked):
+            assert values(lassos, words, shared) == want
+            assert values(lassos, words, cfg_small(N=16, samples=8, **kw)) == want
 
     for change in ({"seed": 6}, {"N": 5}, {"samples": 9}, {"step_count": 60}):
         shared = cfg_small(N=6, samples=10)
