@@ -23,7 +23,6 @@ from .levy import (
     fubm_moment,
     fubm_moments,
     state_at,
-    check_levy_axioms,
 )
 from .freeprob import product_state, haar_unitary_state, semicircle_state
 from .holonomy import (
@@ -53,7 +52,6 @@ __all__ = [
     "fubm_moment",
     "fubm_moments",
     "state_at",
-    "check_levy_axioms",
     "product_state",
     "haar_unitary_state",
     "semicircle_state",

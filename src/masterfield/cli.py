@@ -289,8 +289,8 @@ def _add_sampler_flags(p, steps_default):
         "--workers",
         type=int,
         default=None,
-        help="evolution threads (default: MASTERFIELD_WORKERS, else one per "
-        "usable CPU when samples * N^3 >= 2^15 and 1 otherwise)",
+        help="evolution threads (default: one per usable CPU when "
+        "samples * N^3 >= 2^15, else 1)",
     )
 
 

@@ -29,10 +29,8 @@ net power on entry, cumulants are memoised on the tuple of nets, and gap
 moments come from a per-state table indexed by |net|, filled as far as a
 call needs.
 
-Moment-cumulant transforms sum over noncrossing partitions; cumulants of
-products of consecutive letters (:func:`cumulants_of_products`) sum over
-partitions whose join with the grouping is full.  The test suite checks the
-latter against a reconstruction from the two transforms alone.
+The moment-cumulant transform :func:`moments_from_cumulants` sums over the
+noncrossing partitions of :func:`enumerate_nc`.
 """
 
 from __future__ import annotations
@@ -43,14 +41,10 @@ from math import comb
 
 __all__ = [
     "NC_MAX",
-    "NC_MATCHING_MAX",
     "enumerate_nc",
-    "enumerate_nc_matchings",
-    "is_noncrossing",
     "catalan",
     "moments_from_cumulants",
     "cumulants_from_moments",
-    "cumulants_of_products",
     "State",
     "haar_unitary_state",
     "semicircle_state",
@@ -61,7 +55,6 @@ __all__ = [
 ]
 
 NC_MAX = 12
-NC_MATCHING_MAX = 16
 
 
 def catalan(n):
@@ -103,45 +96,6 @@ def enumerate_nc(k):
     return list(rec(tuple(range(k))))
 
 
-def enumerate_nc_matchings(k):
-    """All noncrossing pair partitions of ``{0..k-1}`` (empty unless k is even)."""
-    if k < 0 or k > NC_MATCHING_MAX:
-        raise ValueError(
-            f"noncrossing matching enumeration supports 0 <= k <= {NC_MATCHING_MAX}, got {k}"
-        )
-
-    def rec(elems):
-        if not elems:
-            yield ()
-            return
-        first = elems[0]
-        for idx in range(1, len(elems), 2):
-            mate = elems[idx]
-            inside = elems[1:idx]
-            outside = elems[idx + 1 :]
-            for left in rec(inside):
-                for right in rec(outside):
-                    yield ((first, mate),) + left + right
-
-    if k % 2:
-        return []
-    return [tuple(sorted(m, key=lambda b: b[0])) for m in rec(tuple(range(k)))]
-
-
-def is_noncrossing(partition):
-    """True iff no two blocks interleave as a < b < c < d with a,c and b,d paired."""
-    blocks = [set(b) for b in partition]
-    for b1 in range(len(blocks)):
-        for b2 in range(b1 + 1, len(blocks)):
-            for a in blocks[b1]:
-                for c in blocks[b1]:
-                    for b in blocks[b2]:
-                        for d in blocks[b2]:
-                            if a < b < c < d:
-                                return False
-    return True
-
-
 def _as_fn(table):
     if callable(table):
         return table
@@ -171,63 +125,6 @@ def cumulants_from_moments(word, moments):
     """
     state = State(_as_fn(moments), tracial=False)
     return state.joint_cumulant(tuple((x,) for x in word))
-
-
-def _join_is_full(pi, grouping, k):
-    """Union-find join of a partition with the grouping's interval partition."""
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for block in pi:
-        for a, b in zip(block, block[1:]):
-            union(a, b)
-    for block in grouping:
-        for a, b in zip(block, block[1:]):
-            union(a, b)
-    return len({find(x) for x in range(k)}) == 1
-
-
-def cumulants_of_products(word, group_sizes, cumulants):
-    """Joint cumulant of consecutive products of letters.
-
-    ``group_sizes`` partitions the word into consecutive products; the
-    result sums, over noncrossing partitions of the letter positions whose
-    join with that interval grouping connects everything, the products of
-    letter cumulants.
-    """
-    word = tuple(word)
-    k = len(word)
-    if sum(group_sizes) != k:
-        raise ValueError("group sizes must sum to the word length")
-    if any(s < 1 for s in group_sizes):
-        raise ValueError("group sizes must be positive")
-    kap = _as_fn(cumulants)
-    grouping = []
-    start = 0
-    for s in group_sizes:
-        grouping.append(tuple(range(start, start + s)))
-        start += s
-    total = 0
-    for pi in enumerate_nc(k):
-        if not _join_is_full(pi, grouping, k):
-            continue
-        prod = 1
-        for block in pi:
-            prod *= kap(tuple(word[i] for i in block))
-            if prod == 0:
-                break
-        total += prod
-    return total
 
 
 class State:
@@ -414,7 +311,6 @@ class ProductState(State):
         self.factors = list(factors)
         self.kind = kind
         self.tracial_all = all(s.tracial for s in self.factors)
-        self._free_memo = {}
         self._gap_memo = {}
         super().__init__(
             self._moment_of_word,
@@ -450,11 +346,7 @@ class ProductState(State):
 
     def _free_moment(self, blocks):
         key = _cyclic_canonical(blocks) if self.tracial_all else tuple(blocks)
-        if key in self._free_memo:
-            return self._free_memo[key]
-        val = self._free_cumulant_dp(key)
-        self._free_memo[key] = val
-        return val
+        return self._free_cumulant_dp(key)
 
     def _free_cumulant_dp(self, blocks):
         """First-block expansion over same-factor cumulants, gap by gap.
@@ -504,16 +396,6 @@ class ConjugationCumulantReport:
     @property
     def equal(self):
         return self.original == self.conjugated
-
-    def dump(self):
-        lines = [f"order {self.order}: {'EQUAL' if self.equal else 'DIFFERENT'}"]
-        for m in range(1, self.order + 1):
-            w = ("w",) * m
-            lines.append(
-                f"kappa_{m}: original {self.original[w]} conjugated {self.conjugated[w]}"
-            )
-        return "\n".join(lines)
-
 
 def joint_cumulants_check_conjugation(order=6):
     """Cumulants of ``v w v*`` versus ``w`` for ``v`` Haar, ``w`` semicircular, free.

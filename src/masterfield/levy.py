@@ -18,10 +18,8 @@ which the tests integrate exactly as an independent oracle.
 ``state_at(t)`` wraps the moments as a tracial state on words over the
 exponents +-1 (the element is unitary, so a word's moment depends only on
 its net power), which is the marginal attached to a face of area t by the
-holonomy field.  ``check_levy_axioms`` verifies the semigroup property
-under the free product, the identity at t=0, norm bounds, continuity and
-positivity; the reference state entering the stationarity statement is
-read as the ambient expectation of the target probability space.
+holonomy field.  The tests check the semigroup law under the free product,
+the identity at t=0, the norm bound, positivity and the derivative at 0.
 """
 
 from __future__ import annotations
@@ -32,17 +30,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, exp, factorial, inf
 
-import numpy as np
-
-from .freeprob import _unitary_state, product_state
+from .freeprob import _unitary_state
 
 __all__ = [
     "fubm_polynomial",
     "fubm_moments",
     "fubm_moment",
     "state_at",
-    "LevyAxiomReport",
-    "check_levy_axioms",
 ]
 
 
@@ -107,84 +101,3 @@ def state_at(t):
         return cache[net]
 
     return _unitary_state(mom, f"fubm(t={t})")
-
-
-class LevyAxiomReport:
-    """Outcome of the semigroup/state checks, one named entry per axiom."""
-
-    def __init__(self):
-        self.results = {}
-        self.note = (
-            "stationarity reference state read as the ambient expectation "
-            "of the target probability space"
-        )
-
-    def record(self, name, ok, detail=""):
-        self.results[name] = (bool(ok), detail)
-
-    @property
-    def ok(self):
-        return all(v for v, _ in self.results.values())
-
-    def lines(self):
-        out = []
-        for name, (ok, detail) in self.results.items():
-            line = f"{name}: {'PASS' if ok else 'FAIL'}"
-            if detail:
-                line += f" ({detail})"
-            out.append(line)
-        return out
-
-
-def check_levy_axioms(kmax=6, times=(0.25, 0.5, 1.0, 2.0), tol=1e-9):
-    """Verify the defining properties of the moment semigroup.
-
-    Checks: identity at t=0; the free-convolution semigroup law (moments of
-    a product of two freely independent elements at times s and t match the
-    element at s+t); unit norm bounds; positivity of the Toeplitz moment
-    matrix; continuity at 0 with the exact derivative ``-k^2/2``.
-    Stationarity needs no separate check: the state depends on the time
-    increment alone by construction.
-    """
-    report = LevyAxiomReport()
-
-    ok = all(fubm_moment(0, k) == 1.0 for k in range(1, kmax + 1))
-    report.record("identity_at_zero", ok)
-
-    worst = 0.0
-    for s in times:
-        for t in times:
-            ps = product_state([state_at(s), state_at(t)], "free")
-            for k in range(1, kmax + 1):
-                word = ((0, 1), (1, 1)) * k
-                got = ps.moment(word)
-                want = fubm_moment(s + t, k)
-                worst = max(worst, abs(got - want))
-    report.record("free_convolution_semigroup", worst <= tol, f"max deviation {worst:.2e}")
-
-    bound = max(
-        abs(fubm_moment(t, k)) for t in list(times) + [5.0, 10.0] for k in range(1, kmax + 1)
-    )
-    report.record("moments_bounded_by_one", bound <= 1 + 1e-12, f"max |m_k| {bound:.6f}")
-
-    psd_ok = True
-    worst_eig = np.inf
-    size = min(kmax, 4)
-    for t in times:
-        m = [fubm_moment(t, k) for k in range(0, 2 * size + 1)]
-        toep = np.array([[m[abs(a - b)] for b in range(size + 1)] for a in range(size + 1)])
-        eig = np.linalg.eigvalsh(toep).min()
-        worst_eig = min(worst_eig, eig)
-        if eig < -1e-10:
-            psd_ok = False
-    report.record("toeplitz_positivity", psd_ok, f"min eigenvalue {worst_eig:.2e}")
-
-    cont_ok = True
-    for k in range(1, kmax + 1):
-        for h in (1e-4, 1e-5):
-            drift = (fubm_moment(h, k) - 1.0) / h
-            if abs(drift + k * k / 2) > 50 * h * k**4 + 1e-8:
-                cont_ok = False
-    report.record("continuity_at_zero", cont_ok)
-
-    return report

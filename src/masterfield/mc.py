@@ -50,29 +50,21 @@ _UNITARITY_TOL = 1e-8
 _SPLIT_WORK = 2**15
 
 
-def _worker_count(workers):
+def _integer(value, least, what):
+    """``value`` as an int >= ``least``; otherwise ValueError, bools included."""
     try:
-        if isinstance(workers, bool):
+        if isinstance(value, bool):
             raise TypeError
-        w = operator.index(workers)
+        n = operator.index(value)
     except TypeError:
-        w = 0
-    if w < 1:
-        raise ValueError(f"worker count must be an integer >= 1, got {workers!r}")
-    return w
+        n = least - 1
+    if n < least:
+        raise ValueError(f"{what}, got {value!r}")
+    return n
 
 
 def default_workers(N, samples):
-    """MASTERFIELD_WORKERS if set, else one per usable CPU for a big enough batch."""
-    raw = os.environ.get("MASTERFIELD_WORKERS")
-    if raw is not None:
-        try:
-            w = int(raw)
-        except ValueError:
-            w = 0
-        if w < 1:
-            raise ValueError(f"MASTERFIELD_WORKERS must be an integer >= 1, got {raw!r}")
-        return w
+    """One per usable CPU for a big enough batch, else one."""
     if samples * N**3 < _SPLIT_WORK:
         return 1
     try:
@@ -87,8 +79,9 @@ class MatrixSamplerConfig:
     ``step_count`` is the number of SDE steps per unit of time; at least
     50 per unit time are required for the retraction error to stay well
     under the statistical resolution.  ``workers`` threads split the
-    samples; by default MASTERFIELD_WORKERS, else one per usable CPU when
-    samples * N**3 >= _SPLIT_WORK and one otherwise.
+    samples; by default one per usable CPU when samples * N**3 >= _SPLIT_WORK
+    and one otherwise.  N, samples, seed, step_count and workers must be
+    integers (numpy integers too, bools not).
     """
 
     def __init__(
@@ -99,16 +92,19 @@ class MatrixSamplerConfig:
         step_count=200,
         workers=None,
     ):
-        if N < 2:
-            raise ValueError(f"matrix size must be at least 2, got {N}")
-        if samples < 1:
-            raise ValueError(f"sample count must be positive, got {samples}")
-        if step_count < 50:
-            raise ValueError(
-                "step_count too small: need at least 50 steps per unit time, "
-                f"got {step_count} (unitarity/discretization drift exceeds tolerance)"
-            )
-        workers = default_workers(N, samples) if workers is None else _worker_count(workers)
+        N = _integer(N, 2, "matrix size must be an integer >= 2")
+        samples = _integer(samples, 1, "sample count must be an integer >= 1")
+        seed = _integer(seed, 0, "seed must be an integer >= 0")
+        step_count = _integer(
+            step_count,
+            50,
+            "step_count too small or not an integer: need at least 50 steps per "
+            "unit time (unitarity/discretization drift exceeds tolerance)",
+        )
+        if workers is None:
+            workers = default_workers(N, samples)
+        else:
+            workers = _integer(workers, 1, "worker count must be an integer >= 1")
         self.N = N
         self.samples = samples
         self.seed = seed

@@ -116,24 +116,6 @@ class Element:
             out[w2] = out.get(w2, 0) + c
         return Element(out)
 
-    def copies(self):
-        return sorted({L.copy for w in self.terms for L in w})
-
-    def dump(self):
-        """One line per word, sorted: ``coeff * u[i,j,copy] u*[i,j,copy] ...``"""
-        lines = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            if not w:
-                lines.append(f"{c} * 1")
-                continue
-            body = " ".join(
-                f"u*[{L.i},{L.j},{L.copy}]" if L.star else f"u[{L.i},{L.j},{L.copy}]"
-                for L in w
-            )
-            lines.append(f"{c} * {body}")
-        return "\n".join(lines)
-
     def __repr__(self):
         if self.is_zero():
             return "Element(0)"
@@ -173,7 +155,6 @@ class AxiomReport:
     holds: bool
     needs_unitarity: bool
     counterexample: str | None = None
-    note: str = ""
 
     def line(self):
         status = "PASS" if self.holds else "FAIL"
@@ -202,11 +183,6 @@ class ZhangAlgebra:
         self.corrupt = corrupt
 
     # -- generators --------------------------------------------------------
-
-    def u(self, i, j, copy=1, star=False):
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise ValueError(f"generator index ({i},{j}) out of range for n={self.n}")
-        return Element.letter(Letter(i, j, star, copy))
 
     def generators(self, copy=1):
         for i in range(self.n):
@@ -346,38 +322,6 @@ class ZhangAlgebra:
                     break
         return Element(terms)
 
-    # -- convolution -------------------------------------------------------
-
-    def eta_eps(self, L):
-        """The convolution unit: generator -> delta_ij times the algebra unit."""
-        return Element.unit(1 if L.i == L.j else 0)
-
-    def identity_map(self, L):
-        return Element.letter(L)
-
-    def antipode_map(self, L):
-        return Element.letter(Letter(L.j, L.i, not L.star, L.copy))
-
-    def convolve(self, f, g):
-        """Convolution of two algebra morphisms given by letter images.
-
-        ``(f * g)(u) = multiply-out of (f on leg 1, g on leg 2) of the
-        coproduct, keeping the interleaving order of the legs.
-        """
-
-        def img(L):
-            legs = self._delta_letter(Letter(L.i, L.j, L.star, 1), 1, 2)
-            out = Element.zero()
-            for word, c in legs.terms.items():
-                prod = Element.unit(c)
-                for M in word:
-                    base = Letter(M.i, M.j, M.star, L.copy)
-                    prod = prod * (f(base) if M.copy == 1 else g(base))
-                out = out + prod
-            return out
-
-        return img
-
     # -- axiom checks ------------------------------------------------------
 
     def verify_axiom(self, name):
@@ -406,19 +350,8 @@ class ZhangAlgebra:
                 False,
                 needs,
                 counterexample=f"{gen}: difference has {len(reduced.terms)} surviving terms",
-                note=self._axiom_note(name),
             )
-        return AxiomReport(name, self.n, True, needs, note=self._axiom_note(name))
-
-    def _axiom_note(self, name):
-        if name == "coaction_counit":
-            return (
-                "counit taken on the gauge copy; the mirror (counit on the "
-                "body copy) only collapses after unitarity reduction"
-            )
-        if name == "coaction_assoc":
-            return "gauge copies nest on the left of the body copy"
-        return ""
+        return AxiomReport(name, self.n, True, needs)
 
     def axiom_sides(self, name, L):
         """The two elements an axiom equates, with explicit copy routing."""

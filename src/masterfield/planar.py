@@ -28,7 +28,6 @@ __all__ = [
     "OPPOSITE",
     "reduce_word",
     "invert_word",
-    "loop_group_op",
     "Loop",
     "Face",
     "PlanarGraph",
@@ -139,15 +138,6 @@ class Loop:
 
     def __repr__(self):
         return f"Loop({self.word!r})"
-
-    def is_trivial(self):
-        return not self.word
-
-
-def loop_group_op(a, b):
-    """Group operation on loops: concatenate, then erase backtracks."""
-    return a * b
-
 
 def _canon_edge(v, s):
     """Canonical undirected edge for the step ``s`` out of ``v``.
@@ -267,12 +257,6 @@ class PlanarGraph:
 
     def euler_characteristic(self):
         return len(self.adj) - len(self.edges) + len(self.faces) + 1
-
-    def dump(self):
-        """One line per bounded face: ``face <id> area <a> boundary <word>``."""
-        return "\n".join(
-            f"face {f.id} area {f.area} boundary {f.word}" for f in self.faces
-        )
 
     def __repr__(self):
         return (
@@ -420,14 +404,6 @@ class LassoWord:
     def inverse(self):
         return LassoWord([(g, -s) for g, s in reversed(self.letters)])
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = LassoWord()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, LassoWord) and self.letters == other.letters
 
@@ -472,9 +448,6 @@ class LassoBasis:
         self.tree = tree
         self.lassos = lassos
         self._solved = None  # canonical non-tree edge -> LassoWord
-
-    def loops(self):
-        return tuple(l.loop() for l in self.lassos)
 
     def __repr__(self):
         return f"LassoBasis({len(self.lassos)} lassos)"

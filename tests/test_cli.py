@@ -137,7 +137,6 @@ def test_check_braid_with_corpus_file(tmp_path, capsys):
 
 def test_mc_schema_and_worker_independence(tmp_path, monkeypatch):
     # with two usable CPUs the default splits N=8, 64 samples two ways
-    monkeypatch.delenv("MASTERFIELD_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert MatrixSamplerConfig(N=8, samples=64).workers == 2
     corpus = tmp_path / "loops.txt"
@@ -164,7 +163,11 @@ def test_mc_missing_corpus_file(capsys):
     assert rc == 2 and err
 
 
-def test_mc_rejects_bad_sampler_config(capsys):
+def test_mc_rejects_bad_sampler_config(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled with a bad config")
+
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_sampling)
     rc, _, err = run(capsys, ["mc", "--loops", "default", "--steps", "10"])
     assert rc == 2 and "step_count too small" in err
     rc, out, err = run(capsys, ["mc", "--loops", "default", "--k", "-1"])
@@ -173,6 +176,9 @@ def test_mc_rejects_bad_sampler_config(capsys):
     assert rc == 2 and out == "" and "kmax must be >= 1" in err
     rc, _, err = run(capsys, ["mc", "--loops", "default", "--workers", "-5"])
     assert rc == 2 and "worker count must be an integer >= 1, got -5" in err
+    for command in (["mc", "--loops", "default"], ["compare-mc"]):
+        rc, out, err = run(capsys, command + ["--seed", "-1"])
+        assert (rc, out, err) == (2, "", "seed must be an integer >= 0, got -1\n")
 
 
 def test_compare_mc_small_pass(tmp_path, capsys):

@@ -1,10 +1,8 @@
 """Noncrossing combinatorics and products of states.
 
 Independent oracles: all set partitions filtered by an explicit crossing
-test, moment/cumulant round trips on random rational tables, a
-reconstruction of product cumulants that never touches the partition-join
-formula used by the implementation, and the free product's defining
-centering recursion.
+test, moment/cumulant round trips on random rational tables, and the free
+product's defining centering recursion.
 """
 
 import itertools
@@ -20,11 +18,8 @@ from masterfield.freeprob import (
     State,
     catalan,
     cumulants_from_moments,
-    cumulants_of_products,
     enumerate_nc,
-    enumerate_nc_matchings,
     haar_unitary_state,
-    is_noncrossing,
     joint_cumulants_check_conjugation,
     moments_from_cumulants,
     product_state,
@@ -77,26 +72,11 @@ def test_nc_matches_brute_force_filter():
         brute = {canon(p) for p in all_set_partitions(k) if not crossing(p)}
         mine = {canon(p) for p in enumerate_nc(k)}
         assert brute == mine
-        for p in enumerate_nc(k):
-            assert is_noncrossing(p)
-
-
-def test_nc_matchings():
-    for k in range(0, 13, 2):
-        ms = enumerate_nc_matchings(k)
-        assert len(ms) == catalan(k // 2)
-        assert all(all(len(b) == 2 for b in m) for m in ms)
-        via_filter = {canon(p) for p in enumerate_nc(k) if all(len(b) == 2 for b in p)} if k <= 10 else None
-        if via_filter is not None:
-            assert via_filter == {canon(m) for m in ms}
-    assert enumerate_nc_matchings(3) == []
 
 
 def test_enumeration_caps():
     with pytest.raises(ValueError, match="supports"):
         enumerate_nc(13)
-    with pytest.raises(ValueError, match="supports"):
-        enumerate_nc_matchings(18)
 
 
 def test_moment_cumulant_round_trip_single_variable():
@@ -133,43 +113,6 @@ def test_moments_from_random_moments_round_trip_other_direction():
     for m in range(1, 8):
         w = ("x",) * m
         assert moments_from_cumulants(w, lambda u: kap[u]) == mom[w]
-
-
-def kappa_of_products_oracle(word, sizes, kap_fn):
-    """Joint cumulant of grouped products using only the two transforms."""
-    groups = []
-    start = 0
-    for s in sizes:
-        groups.append(word[start : start + s])
-        start += s
-
-    def mom_products(idx_word):
-        flat = sum((groups[i] for i in idx_word), ())
-        return moments_from_cumulants(flat, kap_fn)
-
-    return cumulants_from_moments(tuple(range(len(groups))), mom_products)
-
-
-def test_cumulants_of_products_against_transform_oracle():
-    cases = [
-        (("a", "b", "a"), (2, 1)),
-        (("a", "b", "a"), (1, 2)),
-        (("a", "a", "b", "b"), (2, 2)),
-        (("a", "b", "b", "a"), (1, 2, 1)),
-        (("a", "b", "a", "b", "a"), (2, 2, 1)),
-        (("a", "a", "a"), (1, 1, 1)),
-    ]
-    for word, sizes in cases:
-        got = cumulants_of_products(word, sizes, rational_noise)
-        want = kappa_of_products_oracle(word, sizes, rational_noise)
-        assert got == want, (word, sizes)
-
-
-def test_cumulants_of_products_validation():
-    with pytest.raises(ValueError, match="sum"):
-        cumulants_of_products(("a", "b"), (3,), rational_noise)
-    with pytest.raises(ValueError, match="positive"):
-        cumulants_of_products(("a", "b"), (2, 0), rational_noise)
 
 
 def _abc_states(tracial=False):
@@ -327,8 +270,9 @@ def test_haar_and_semicircle_states():
     for m in range(0, 13):
         want = catalan(m // 2) if m % 2 == 0 else 0
         assert s.moment(("s",) * m) == want
-        if m <= 12:
-            assert s.moment(("s",) * m) == len(enumerate_nc_matchings(m))
+        if m <= 10:
+            pairings = [p for p in enumerate_nc(m) if all(len(b) == 2 for b in p)]
+            assert s.moment(("s",) * m) == len(pairings)
     with pytest.raises(ValueError, match="symbol 's'"):
         s.moment(("t",))
 
@@ -358,7 +302,6 @@ def test_conjugation_cumulant_report():
         val = rep.conjugated[("w",) * m]
         assert isinstance(val, (int, Fraction))
         assert val == (1 if m == 2 else 0)
-    assert "EQUAL" in rep.dump()
     with pytest.raises(ValueError, match="order"):
         joint_cumulants_check_conjugation(0)
 

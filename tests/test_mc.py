@@ -52,12 +52,11 @@ def test_seed_determinism_bit_exact():
 
 @pytest.fixture
 def four_cpus(monkeypatch):
-    """No MASTERFIELD_WORKERS, and four usable CPUs."""
-    monkeypatch.delenv("MASTERFIELD_WORKERS", raising=False)
+    """Four usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
 
 
-def test_default_worker_rule(four_cpus, monkeypatch):
+def test_default_worker_rule(four_cpus):
     # the default splits a batch across the usable CPUs once samples * N**3
     # reaches the threshold, and keeps smaller batches on one thread
     assert MatrixSamplerConfig(N=64, samples=2).workers == 4
@@ -66,10 +65,6 @@ def test_default_worker_rule(four_cpus, monkeypatch):
     assert MatrixSamplerConfig(N=8, samples=mc._SPLIT_WORK // 8**3 - 1).workers == 1
     for N, samples in ((64, 2), (4, 100)):
         assert MatrixSamplerConfig(N=N, samples=samples, workers=3).workers == 3
-        with monkeypatch.context() as m:
-            m.setenv("MASTERFIELD_WORKERS", "3")
-            assert MatrixSamplerConfig(N=N, samples=samples).workers == 3
-            assert MatrixSamplerConfig(N=N, samples=samples, workers=2).workers == 2
 
 
 def test_worker_count_does_not_change_values(four_cpus):
@@ -181,21 +176,33 @@ def test_richardson_halving():
     assert diff < band
 
 
-def test_config_validation(monkeypatch):
+def test_config_validation():
     with pytest.raises(ValueError):
         MatrixSamplerConfig(N=1)
     with pytest.raises(ValueError):
         MatrixSamplerConfig(samples=0)
     with pytest.raises(ValueError, match="step_count too small"):
         MatrixSamplerConfig(step_count=20)
+    # non-integers and negative seeds fail here, not later inside numpy
+    bad = [
+        ("N", 8.0, "matrix size"),
+        ("samples", 3.0, "sample count"),
+        ("step_count", 60.5, "step_count"),
+        ("seed", 1.5, "seed"),
+        ("seed", -1, "seed"),
+        ("N", True, "matrix size"),
+    ]
+    for name, value, what in bad:
+        with pytest.raises(ValueError, match=f"{what}.*got {re.escape(repr(value))}"):
+            MatrixSamplerConfig(**{name: value})
+    cfg = MatrixSamplerConfig(N=np.int64(8), samples=np.int32(3), seed=np.uint64(7))
+    assert (cfg.N, cfg.samples, cfg.seed) == (8, 3, 7)
+    assert type(cfg.N) is type(cfg.samples) is type(cfg.seed) is int
     for workers in (0, -5, 1.5, True, "2"):
         msg = f"worker count must be an integer >= 1, got {workers!r}"
         with pytest.raises(ValueError, match=re.escape(msg)):
             MatrixSamplerConfig(workers=workers)
     assert MatrixSamplerConfig(workers=np.int64(2)).workers == 2
-    monkeypatch.setenv("MASTERFIELD_WORKERS", "0")
-    with pytest.raises(ValueError, match="MASTERFIELD_WORKERS"):
-        MatrixSamplerConfig()
 
 
 def test_estimate_empty_word():

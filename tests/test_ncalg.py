@@ -158,46 +158,6 @@ def test_antipode_is_an_involution_and_star_laws():
         assert A.delta(x.star()) == A.delta(x).star()
 
 
-def test_convolution_unit_associativity_inverse():
-    for n in (2, 3):
-        A = ZhangAlgebra(n)
-
-        def transpose(L):
-            return Element.letter(Letter(L.j, L.i, L.star, L.copy))
-
-        morphisms = [A.identity_map, A.antipode_map, transpose]
-        gens = list(A.generators())
-        for f in morphisms:
-            fu = A.convolve(f, A.eta_eps)
-            uf = A.convolve(A.eta_eps, f)
-            for L in gens:
-                assert fu(L) == f(L)
-                assert uf(L) == f(L)
-        for f in morphisms:
-            for g in morphisms:
-                for h in morphisms:
-                    ab_c = A.convolve(A.convolve(f, g), h)
-                    a_bc = A.convolve(f, A.convolve(g, h))
-                    for L in gens:
-                        assert ab_c(L) == a_bc(L)
-        # the antipode is the convolution inverse of the identity
-        inv = A.convolve(A.identity_map, A.antipode_map)
-        for L in gens:
-            assert A.unitarity_reduce(inv(L)) == A.eta_eps(L)
-
-
-def test_dump_format():
-    A = ZhangAlgebra(2)
-    d = A.delta(A.u(0, 1))
-    assert d.dump() == "1 * u[0,0,1] u[0,1,2]\n1 * u[0,1,1] u[1,1,2]"
-    assert A.u(1, 0, star=True).dump() == "1 * u*[1,0,1]"
-    assert Element.unit(3).dump() == "3 * 1"
-    assert Element.zero().dump() == ""
-
-
 def test_generator_index_validation():
-    A = ZhangAlgebra(2)
-    with pytest.raises(ValueError, match="out of range"):
-        A.u(2, 0)
     with pytest.raises(ValueError, match=">= 1"):
         ZhangAlgebra(0)
