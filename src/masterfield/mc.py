@@ -311,13 +311,17 @@ def _dagger(U):
     return U.conj().transpose(0, 2, 1)
 
 
-def _scalar_values(mats, word, N):
-    """The normalized trace of a nonempty word's product, one value per sample."""
-    prod = None
-    for idx, expo in word:
+def _product(mats, letters, prod=None):
+    """``prod`` (no factor when None) times the letters' matrices, left to right."""
+    for idx, expo in letters:
         m = mats[idx] if expo == 1 else _dagger(mats[idx])
         prod = m if prod is None else prod @ m
-    return np.einsum("sii->s", prod) / N
+    return prod
+
+
+def _scalar_values(mats, word, N):
+    """The normalized trace of a nonempty word's product, one value per sample."""
+    return np.einsum("sii->s", _product(mats, word)) / N
 
 
 def estimate_wilson_many(lassos, words, cfg):
@@ -326,7 +330,10 @@ def estimate_wilson_many(lassos, words, cfg):
     ``lassos`` is a list of (face area, orientation) pairs; orientation -1
     means the lasso is traversed against its bulk.  A word is a sequence
     of (lasso index, exponent +1 or -1) letters, and its estimate is the
-    mean normalized trace of the letters' matrix product.
+    mean normalized trace of the letters' matrix product.  A word that
+    extends the word before it continues that word's product; a product
+    is built left to right either way, so each value is bit for bit that
+    of the word estimated on its own.
     """
     areas = []
     for area, orient in lassos:
@@ -347,12 +354,18 @@ def estimate_wilson_many(lassos, words, cfg):
         if orient == -1:
             mats[k] = _dagger(mats[k])
 
-    out = []
+    out, prev, prod = [], [], None
     for word in words:
-        if len(word) == 0:
+        letters = [tuple(letter) for letter in word]
+        if not letters:
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue
-        values = _scalar_values(mats, word, cfg.N)
+        if letters[: len(prev)] == prev:
+            prod = _product(mats, letters[len(prev) :], prod)
+        else:
+            prod = _product(mats, letters)
+        prev = letters
+        values = np.einsum("sii->s", prod) / cfg.N
         mean = values.mean()
         stderr = float(values.std()) / math.sqrt(cfg.samples)
         out.append(WilsonEstimate(mean, stderr, cfg.samples))

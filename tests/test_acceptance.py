@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 
 from masterfield.freeprob import (
@@ -94,6 +95,7 @@ def test_criterion_2_semigroup_moment_values():
             f"anchors {anchors:.1e}, closed form vs ODE {ode_gap:.2e}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_3_large_N_corpus_reproduction():
     t0 = time.perf_counter()
     cfg = MatrixSamplerConfig(N=64, samples=400, seed=7, step_count=50)

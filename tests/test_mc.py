@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from masterfield import DEFAULT_CORPUS, _kernels, loop_observable, mc
 from masterfield.freeprob import State, product_state
@@ -119,8 +120,8 @@ def walk_one_draw_per_step(gens, N, steps, dt):
         raw = np.array([g.standard_normal((N, N, 2)) for g in gens])
         Z = raw.view(np.complex128)[..., 0]
         A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * 0.5 * math.sqrt(dt / N))
-        B = A - (A @ A @ A) / 12.0
-        U = np.linalg.solve(ident - 0.5 * B, U + 0.5 * (B @ U))
+        M = (A @ A @ A) / 24.0 - 0.5 * A + ident
+        U = 2.0 * np.linalg.solve(M, U) - U
     return U
 
 
@@ -137,6 +138,56 @@ def test_block_draws_match_one_draw_per_step():
     assert [repr(g.bit_generator.state) for g in gens] == [
         repr(g.bit_generator.state) for g in oracle
     ]
+
+
+class FixedNoise:
+    """A stand-in generator whose ``standard_normal(out=)`` hands out given draws in order."""
+
+    def __init__(self, draws):
+        self.draws, self.pos = draws, 0
+
+    def standard_normal(self, out):
+        out[...] = self.draws[self.pos : self.pos + len(out)]
+        self.pos += len(out)
+
+
+def increment(draw, N, dt):
+    """The antihermitian increment A that the kernel builds from one (N, N, 2) draw."""
+    Z = draw.view(np.complex128)[..., 0]
+    return (Z + Z.conj().T) * (1j * 0.5 * math.sqrt(dt / N))
+
+
+def test_one_step_matches_the_exponential_to_fifth_order():
+    # The step agrees with exp(A) U up to O(A^5): halving the noise divides
+    # the error by about 2^5 (the plain Cayley map, O(A^3), would give 2^3).
+    N, dt = 8, 1.0 / 50
+    rng = np.random.default_rng(1)
+    draw = rng.standard_normal((N, N, 2))
+    U0, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    errs = []
+    for c in (1.0, 0.5, 0.25):
+        U = _kernels.evolve_unitaries([FixedNoise(c * draw[None])], N, dt, 50, start=U0[None])
+        errs.append(np.abs(U[0] - expm(increment(c * draw, N, dt)) @ U0).max())
+    assert errs[-1] > 1e-10  # well above rounding
+    for big, small in zip(errs, errs[1:]):
+        assert 28 < big / small < 36
+
+
+def test_walk_matches_the_textbook_cayley_step():
+    # 2 solve(I - B/2, U) - U is (I - B/2)^{-1} (I + B/2) U rearranged: over
+    # a 50-step walk the two agree to rounding.
+    N, S, steps = 16, 2, 50
+    dt = 1.0 / steps
+    draws = np.random.default_rng(2).standard_normal((S, steps, N, N, 2))
+    U = _kernels.evolve_unitaries([FixedNoise(d) for d in draws], N, 1.0, steps)
+    ident = np.eye(N)
+    for s in range(S):
+        V = ident.astype(complex)
+        for draw in draws[s]:
+            A = increment(draw, N, dt)
+            B = A - A @ A @ A / 12.0
+            V = np.linalg.solve(ident - 0.5 * B, V + 0.5 * (B @ V))
+        assert np.abs(U[s] - V).max() <= 1e-14
 
 
 def test_check_unitary_checks_every_matrix():
@@ -223,6 +274,22 @@ def test_estimate_many_shares_samples():
     single = estimate_wilson_many([(0.5, 1)], [[(0, 1)]], cfg)[0]
     assert a.mean == single.mean and a.stderr == single.stderr
     assert b.mean != a.mean
+
+
+def test_words_in_any_order_match_separate_calls():
+    # A word that extends the previous one continues its product; out of
+    # prefix order (k=3, 1, 2), with a word that extends none in between,
+    # every value is still that of the word estimated on its own.
+    lassos, letters = loop_observable("NESWNEESWNWS")
+    letters = tuple(letters)
+    words = [letters * 3, letters, letters * 2, letters[1:], letters * 2 + letters[:1]]
+
+    def fresh(word):
+        est = estimate_wilson_many(lassos, [word], cfg_small(N=4, samples=6))[0]
+        return est.mean, est.stderr
+
+    together = estimate_wilson_many(lassos, words, cfg_small(N=4, samples=6))
+    assert [(e.mean, e.stderr) for e in together] == [fresh(w) for w in words]
 
 
 def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
@@ -379,6 +446,7 @@ def test_classical_braid_invariance():
     assert abs(m_braid - m_fresh) < 3 * math.hypot(se_braid, se_fresh)
 
 
+@pytest.mark.slow
 def test_block_moments_drift_toward_reference():
     # Normalized trace of the (0,0) block power drifts toward the large-N
     # value as N grows (desk-scale version of the convergence claim).
