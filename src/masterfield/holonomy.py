@@ -19,12 +19,14 @@ under face merges, and gauge conjugation by a free Haar unitary.
 
 import operator
 from math import inf, isfinite
+from numbers import Real
 
 from .freeprob import haar_unitary_state, product_state
 from .levy import fubm_moment, state_at
 from .planar import (
     Loop,
     LassoWord,
+    _check_priority,
     braid_act,
     braid_permutation,
     build_graph,
@@ -70,8 +72,9 @@ class HolonomyField:
     def __init__(self, product="free", t_scale=1.0, tree_priority="NESW"):
         if product not in self.PRODUCTS:
             raise ValueError(f"product must be one of {self.PRODUCTS}, got {product!r}")
-        if not 0 < t_scale < inf:
-            raise ValueError(f"t_scale must be positive and finite, got {t_scale}")
+        if not isinstance(t_scale, Real) or not 0 < t_scale < inf:
+            raise ValueError(f"t_scale must be positive and finite, got {t_scale!r}")
+        _check_priority(tree_priority)
         self.product = product
         self.t_scale = float(t_scale)
         self.tree_priority = tree_priority

@@ -14,8 +14,7 @@ generators that walks them, and calls sharing a config take their
 matrices from those paths and evolve only what no earlier call did; the
 values are bit-for-bit those of a fresh config.  The paths are
 dropped when the config's seed, N, samples or step_count change; copies
-and pickles of a config start without them, and ``sample_ubm_batch``
-always evolves afresh.  Estimates from calls sharing
+and pickles of a config start without them.  Estimates from calls sharing
 a config are therefore correlated, as they already were through the
 shared streams (the first lasso of every loop of area 1 is the same
 matrix).  A config retains at most twice the path snapshots that its
@@ -38,7 +37,6 @@ from ._kernels import evolve_unitaries, step_grid
 __all__ = [
     "MatrixSamplerConfig",
     "WilsonEstimate",
-    "sample_ubm_batch",
     "estimate_wilson_many",
 ]
 
@@ -151,23 +149,6 @@ def _check_unitary(U):
         raise RuntimeError(
             f"unitarity drift {drift:.3e} exceeds tolerance {_UNITARITY_TOL}"
         )
-
-
-def sample_ubm_batch(cfg, t):
-    """All cfg.samples Brownian-motion samples at time t, shape (samples, N, N).
-
-    The samples are evolved afresh, not taken from the paths kept by
-    ``cfg``, and the array is the caller's own.
-    """
-    gens = _streams(cfg.seed, cfg.samples)
-    U = np.empty((cfg.samples, cfg.N, cfg.N), complex)
-
-    def work(lo, hi):
-        U[lo:hi] = evolve_unitaries(gens[lo:hi], cfg.N, t, cfg.step_count)
-
-    _by_sample(cfg, work)
-    _check_unitary(U)
-    return U
 
 
 class _PathStore:

@@ -184,11 +184,11 @@ class ZhangAlgebra:
 
     # -- generators --------------------------------------------------------
 
-    def generators(self, copy=1):
+    def generators(self):
         for i in range(self.n):
             for j in range(self.n):
                 for star in (False, True):
-                    yield Letter(i, j, star, copy)
+                    yield Letter(i, j, star, 1)
 
     # -- structural maps ---------------------------------------------------
 

@@ -9,8 +9,10 @@ The drawing of a finite family of loops is a planar graph whose bounded
 faces are unions of unit cells.  Every bounded face yields a *lasso*: run
 out along a spanning tree to a vertex on the face boundary, go once
 anticlockwise around the face, and come back the same way.  The lassos
-freely generate the group of loops drawn on the graph, and :func:`decompose`
-rewrites any such loop as a reduced word in them.
+freely generate the group of loops drawn on the graph.  A lasso basis is
+solved when it is built: each edge off the tree is written as a word in the
+lassos, so :func:`decompose` rewrites a loop drawn on the graph as a
+reduced word in them by reading its edges.
 
 Braids act on tuples of loops (or of abstract lasso words) by the usual
 conjugation substitution; see :func:`braid_act`.
@@ -237,26 +239,9 @@ class PlanarGraph:
         self.faces = [Face(i, orbit, area, cell) for i, (cell, orbit, area) in enumerate(bounded)]
         self.outer_walk = tuple(outer) if outer is not None else ()
         self.total_area = sum(f.area for f in self.faces)
-        # Which face is on the left of each half-edge (None for the unbounded face).
-        self._face_of = {}
-        for f in self.faces:
-            for he in f.walk:
-                self._face_of[he] = f.id
-        for he in self.outer_walk:
-            self._face_of[he] = None
-
-    # -- queries -----------------------------------------------------------
 
     def face_areas(self):
         return [f.area for f in self.faces]
-
-    def side_faces(self, edge):
-        """The face ids left and right of a canonical edge (None = unbounded)."""
-        v, s = edge
-        return (self._face_of[(v, s)], self._face_of[(step_end(v, s), OPPOSITE[s])])
-
-    def euler_characteristic(self):
-        return len(self.adj) - len(self.edges) + len(self.faces) + 1
 
     def __repr__(self):
         return (
@@ -270,75 +255,57 @@ def build_graph(loops):
     return PlanarGraph(loops)
 
 
+def _check_priority(priority):
+    if not isinstance(priority, str) or sorted(priority) != sorted(STEPS):
+        raise ValueError(f"priority {priority!r} must be a permutation of NESW")
+
+
 class SpanningTree:
     """Breadth-first spanning tree of a drawing, rooted at the origin.
 
     ``priority`` orders the neighbours tried at each vertex and is the only
     tie-break: different priorities give different trees (hence different
-    lasso bases), which downstream results must not depend on.
+    lasso bases), which downstream results must not depend on.  ``words``
+    maps each vertex to the step word of its tree path from the origin, in
+    the order the search reached them; ``tree_edges`` holds the canonical
+    edges it crossed.
     """
 
     def __init__(self, graph, priority="NESW"):
-        if sorted(priority) != sorted(STEPS):
-            raise ValueError(f"priority {priority!r} must be a permutation of NESW")
+        _check_priority(priority)
         self.graph = graph
-        self.priority = priority
-        self.parent = {}
-        self.step_from_parent = {}
-        self.depth = {(0, 0): 0}
-        self.order = [(0, 0)]
+        self.words = {(0, 0): ""}
+        self.tree_edges = set()
         q = deque([(0, 0)])
         while q:
             v = q.popleft()
+            steps = graph.adj[v]
             for s in priority:
-                if s not in graph.adj.get(v, ()):
+                if s not in steps:
                     continue
                 w = step_end(v, s)
-                if w in self.depth:
+                if w in self.words:
                     continue
-                self.depth[w] = self.depth[v] + 1
-                self.parent[w] = v
-                self.step_from_parent[w] = s
-                self.order.append(w)
+                self.words[w] = self.words[v] + s
+                self.tree_edges.add(_canon_edge(v, s)[0])
                 q.append(w)
-        if len(self.depth) != len(graph.adj):
+        if len(self.words) != len(graph.adj):
             raise RuntimeError("drawing is not connected through the origin")
-        self.tree_edges = {
-            _canon_edge(self.parent[w], self.step_from_parent[w])[0]
-            for w in self.parent
-        }
-        self._words = {(0, 0): ""}
-
-    def word_to(self, v):
-        """Step word of the tree path origin -> v (memoised)."""
-        if v in self._words:
-            return self._words[v]
-        chain = []
-        u = v
-        while u not in self._words:
-            chain.append(u)
-            u = self.parent[u]
-        w = self._words[u]
-        for u2 in reversed(chain):
-            w = w + self.step_from_parent[u2]
-            self._words[u2] = w
-        return w
-
-    def nontree_edges(self):
-        return sorted(self.graph.edges - self.tree_edges)
 
 
 class Lasso:
     """``tail . bulk . tail^-1``: out along the tree, once round a face, back.
 
-    The bulk runs anticlockwise, so the lasso has winding +1 around its own
+    ``anchor`` is the vertex where the tail ends and the bulk starts.  The
+    bulk runs anticlockwise, so the lasso has winding +1 around its own
     face and 0 around every other bounded face.
     """
 
-    __slots__ = ("face", "tail", "bulk")
+    __slots__ = ("face", "anchor", "tail", "bulk")
 
-    def __init__(self, face, tail, bulk):
+    def __init__(self, face, anchor, tail, bulk):
         self.face = face
+        self.anchor = anchor
         self.tail = tail
         self.bulk = bulk
 
@@ -356,25 +323,25 @@ class Lasso:
 def _make_lasso(face, tree):
     """Pick an anchor on the face boundary and build the lasso.
 
-    Anchors are tried by increasing tree depth (then position); among the
-    rotations of the boundary walk starting at an anchor we prefer one whose
-    seams with the tail do not cancel, falling back to the first candidate.
+    Anchors are tried by increasing tree word length (then position); among
+    the rotations of the boundary walk starting at an anchor we prefer one
+    whose seams with the tail do not cancel, falling back to the first
+    candidate.
     """
     occurrences = {}
     for j, (v, _) in enumerate(face.walk):
         occurrences.setdefault(v, []).append(j)
     fallback = None
-    for v in sorted(occurrences, key=lambda u: (tree.depth[u], u)):
-        tail = tree.word_to(v)
+    for v in sorted(occurrences, key=lambda u: (len(tree.words[u]), u)):
+        tail = tree.words[v]
         for j in occurrences[v]:
-            rotated = face.walk[j:] + face.walk[:j]
-            bulk = "".join(s for _, s in rotated)
+            bulk = face.word[j:] + face.word[:j]
             if fallback is None:
-                fallback = Lasso(face, tail, bulk)
+                fallback = Lasso(face, v, tail, bulk)
             if tail == "" or (
                 bulk[0] != OPPOSITE[tail[-1]] and bulk[-1] != tail[-1]
             ):
-                return Lasso(face, tail, bulk)
+                return Lasso(face, v, tail, bulk)
     return fallback
 
 
@@ -416,9 +383,6 @@ class LassoWord:
     def __bool__(self):
         return bool(self.letters)
 
-    def exponent_sum(self, fid):
-        return sum(s for g, s in self.letters if g == fid)
-
     def substitute(self, mapping, unit=None):
         """Replace each generator via ``mapping[face_id]`` and multiply out.
 
@@ -441,22 +405,25 @@ class LassoWord:
 
 
 class LassoBasis:
-    """The lassos of a drawing for one spanning tree, plus decomposition data."""
+    """The lassos of a drawing for one spanning tree, and ``solved``: each
+    canonical non-tree edge as a :class:`LassoWord` in them."""
 
-    def __init__(self, graph, tree, lassos):
+    def __init__(self, graph, tree, lassos, solved):
         self.graph = graph
         self.tree = tree
         self.lassos = lassos
-        self._solved = None  # canonical non-tree edge -> LassoWord
+        self.solved = solved
 
     def __repr__(self):
         return f"LassoBasis({len(self.lassos)} lassos)"
 
 
 def lasso_basis(graph, priority="NESW"):
-    """Choose a spanning tree (by neighbour priority) and build one lasso per face."""
+    """Choose a spanning tree (by neighbour priority), build one lasso per face,
+    and solve every non-tree edge in the lassos."""
     tree = SpanningTree(graph, priority)
-    return LassoBasis(graph, tree, [_make_lasso(f, tree) for f in graph.faces])
+    lassos = [_make_lasso(f, tree) for f in graph.faces]
+    return LassoBasis(graph, tree, lassos, _solve_edges(lassos, tree))
 
 
 def _edge_letters(word, tree, start=(0, 0)):
@@ -483,75 +450,59 @@ def _edge_letters(word, tree, start=(0, 0)):
     return out
 
 
-def _solve_basis(basis):
+def _in_lassos(letters, solved):
+    """The product of signed non-tree edges as a word in the lassos."""
+    out = LassoWord()
+    for e, s in letters:
+        x = solved[e]
+        out = out * (x if s == 1 else x.inverse())
+    return out
+
+
+def _solve_edges(lassos, tree):
     """Express each non-tree edge generator as a word in the lassos.
 
     Faces are peeled from the unbounded face inwards: at each step some
-    remaining face has exactly one non-tree boundary edge whose far side is
-    already peeled (the drawing's non-tree edges form a tree on the faces),
-    and that pivot edge is solved from the face's bulk by back-substitution.
+    remaining face has a non-tree boundary edge whose far side is already
+    peeled (the drawing's non-tree edges form a tree on the faces), and that
+    pivot edge is solved from the face's bulk by back-substitution.  A
+    non-tree edge is never a bridge, so it lies once on the boundary of each
+    of two bounded faces, or of one when the unbounded face is the other.
     """
-    graph, tree = basis.graph, basis.tree
     bulk_letters = {}
-    boundary_nontree = {}
-    for lasso in basis.lassos:
+    sides = {}  # non-tree edge -> the bounded faces along it
+    for lasso in lassos:
         fid = lasso.face.id
-        start = _walk_start_of_bulk(lasso)
-        letters = _edge_letters(lasso.bulk, tree, start)
-        bulk_letters[fid] = letters
-        boundary_nontree[fid] = sorted({e for e, _ in letters})
-    alive = {f.id for f in graph.faces}
-    order = []
-    pivot = {}
+        bulk_letters[fid] = _edge_letters(lasso.bulk, tree, lasso.anchor)
+        for e, _ in bulk_letters[fid]:
+            sides.setdefault(e, []).append(fid)
+    alive = set(bulk_letters)
+    pivots = []
     while alive:
-        chosen = None
-        for fid in sorted(alive):
-            for e in boundary_nontree[fid]:
-                left, right = graph.side_faces(e)
-                other = right if left == fid else left
-                if other is None or other not in alive:
-                    chosen = (fid, e)
-                    break
-            if chosen:
-                break
-        if chosen is None:
+        pivot = next(
+            (
+                (fid, e)
+                for fid in sorted(alive)
+                for e in sorted(e for e, _ in bulk_letters[fid])
+                if all(f == fid or f not in alive for f in sides[e])
+            ),
+            None,
+        )
+        if pivot is None:
             raise RuntimeError("face peeling stalled; drawing inconsistent")
-        fid, e = chosen
-        alive.remove(fid)
-        order.append(fid)
-        pivot[fid] = e
+        alive.remove(pivot[0])
+        pivots.append(pivot)
     solved = {}
-
-    def as_lassoword(letters):
-        out = LassoWord()
-        for e, s in letters:
-            x = solved[e]
-            out = out * (x if s == 1 else x.inverse())
-        return out
-
-    for fid in reversed(order):
-        e = pivot[fid]
+    for fid, e in reversed(pivots):
         letters = bulk_letters[fid]
-        hits = [i for i, (e2, _) in enumerate(letters) if e2 == e]
-        if len(hits) != 1:
-            raise RuntimeError(f"pivot edge appears {len(hits)} times on face {fid}")
-        i = hits[0]
-        sign = letters[i][1]
-        alpha = as_lassoword(letters[:i])
-        beta = as_lassoword(letters[i + 1 :])
+        i = [e2 for e2, _ in letters].index(e)
+        alpha = _in_lassos(letters[:i], solved)
+        beta = _in_lassos(letters[i + 1 :], solved)
         core = alpha.inverse() * LassoWord([(fid, 1)]) * beta.inverse()
-        solved[e] = core if sign == 1 else core.inverse()
-    if set(solved) != set(tree.nontree_edges()):
+        solved[e] = core if letters[i][1] == 1 else core.inverse()
+    if len(solved) != len(tree.graph.edges) - len(tree.tree_edges):
         raise RuntimeError("peeling did not reach every non-tree edge")
-    basis._solved = solved
-
-
-def _walk_start_of_bulk(lasso):
-    """The vertex the bulk starts from (the anchor)."""
-    v = (0, 0)
-    for s in lasso.tail:
-        v = step_end(v, s)
-    return v
+    return solved
 
 
 def decompose(loop, basis):
@@ -561,14 +512,7 @@ def decompose(loop, basis):
     the exponent sum at a face equals the loop's winding number around it.
     """
     word = loop.word if isinstance(loop, Loop) else reduce_word(loop)
-    letters = _edge_letters(word, basis.tree)
-    if basis._solved is None:
-        _solve_basis(basis)
-    out = LassoWord()
-    for e, s in letters:
-        x = basis._solved[e]
-        out = out * (x if s == 1 else x.inverse())
-    return out
+    return _in_lassos(_edge_letters(word, basis.tree), basis.solved)
 
 
 def winding(loop, around):

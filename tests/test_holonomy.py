@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masterfield.freeprob import product_state
 from masterfield.holonomy import (
@@ -111,6 +113,18 @@ def test_spanning_tree_policy_does_not_matter():
             )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_spanning_tree_policy_does_not_matter_on_random_loops(seed):
+    word = random_loop(np.random.default_rng(seed), 60).word
+    fa = HolonomyField(tree_priority="NESW")
+    fb = HolonomyField(tree_priority="WSEN")
+    for k in range(1, 4):
+        assert evaluate(fa, word, k).value == pytest.approx(
+            evaluate(fb, word, k).value, abs=1e-12
+        )
+
+
 def test_subdivided_rectangle_dual_route():
     """Decomposing the 1x2 rectangle over its subdivided graph gives m_k(2)."""
     rect = Loop("NNESSW")
@@ -188,6 +202,16 @@ def test_values_stay_in_the_unit_disk():
             assert abs(value) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("product", HolonomyField.PRODUCTS)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_values_stay_in_the_unit_disk_on_random_loops(product, seed):
+    word = random_loop(np.random.default_rng(seed), 60).word
+    field = HolonomyField(product=product)
+    for k in range(1, 4):
+        assert abs(evaluate(field, word, k).value) <= 1.0 + 1e-12
+
+
 def test_loop_observable_layout():
     lassos, letters = loop_observable("NESENWSW")
     assert lassos == [(1.0, 1), (1.0, 1)]
@@ -199,9 +223,12 @@ def test_loop_observable_layout():
 def test_field_validation_and_inexact_refusal():
     with pytest.raises(ValueError, match="product"):
         HolonomyField(product="spherical")
-    for bad in (0.0, math.inf, math.nan):
+    for bad in (0.0, math.inf, math.nan, "1", None):
         with pytest.raises(ValueError, match="t_scale"):
             HolonomyField(t_scale=bad)
+    for bad in ("NNNN", "NES", "NESWN", None):
+        with pytest.raises(ValueError, match="permutation of NESW"):
+            HolonomyField(tree_priority=bad)
     with pytest.raises(ValueError, match="not finite"):
         evaluate(HolonomyField(t_scale=1e308), "NNEESSWW")
     with pytest.raises(ValueError, match="not finite"):

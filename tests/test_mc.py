@@ -11,18 +11,19 @@ from scipy.linalg import expm
 from masterfield import DEFAULT_CORPUS, _kernels, loop_observable, mc
 from masterfield.freeprob import State, product_state
 from masterfield.levy import fubm_moment, state_at
-from masterfield.mc import (
-    MatrixSamplerConfig,
-    WilsonEstimate,
-    estimate_wilson_many,
-    sample_ubm_batch,
-)
+from masterfield.mc import MatrixSamplerConfig, WilsonEstimate, estimate_wilson_many
 
 
 def cfg_small(**kw):
     base = dict(N=16, samples=120, seed=5, step_count=50)
     base.update(kw)
     return MatrixSamplerConfig(**base)
+
+
+def sample_batch(cfg, t):
+    """The config's samples at time t, shape (samples, N, N): the read-only
+    matrix the sampler gives a lasso of area t in slot 0."""
+    return mc._lasso_matrices(cfg, [t])[0]
 
 
 def unitarity_defect(U):
@@ -32,22 +33,22 @@ def unitarity_defect(U):
 
 def test_time_zero_is_identity():
     cfg = cfg_small()
-    U = sample_ubm_batch(cfg, 0.0)[0]
+    U = sample_batch(cfg, 0.0)[0]
     assert np.array_equal(U, np.eye(cfg.N, dtype=complex))
 
 
 def test_unitarity_every_sample():
     cfg = cfg_small(samples=40)
-    U = sample_ubm_batch(cfg, 1.5)
+    U = sample_batch(cfg, 1.5)
     assert unitarity_defect(U) < 1e-8
 
 
 def test_seed_determinism_bit_exact():
     cfg = cfg_small(samples=30)
-    U1 = sample_ubm_batch(cfg, 0.8)
-    U2 = sample_ubm_batch(cfg_small(samples=30), 0.8)
+    U1 = sample_batch(cfg, 0.8)
+    U2 = sample_batch(cfg_small(samples=30), 0.8)
     assert np.array_equal(U1, U2)
-    U3 = sample_ubm_batch(cfg_small(samples=30, seed=6), 0.8)
+    U3 = sample_batch(cfg_small(samples=30, seed=6), 0.8)
     assert np.abs(U1 - U3).max() > 1e-3
 
 
@@ -71,9 +72,9 @@ def test_default_worker_rule(four_cpus):
 def test_worker_count_does_not_change_values(four_cpus):
     default = cfg_small(samples=30)
     assert default.workers == 4
-    U = sample_ubm_batch(default, 0.6)
+    U = sample_batch(default, 0.6)
     for workers in (1, 3):
-        assert np.array_equal(sample_ubm_batch(cfg_small(samples=30, workers=workers), 0.6), U)
+        assert np.array_equal(sample_batch(cfg_small(samples=30, workers=workers), 0.6), U)
 
 
 GOLDEN_BATCH = [
@@ -101,7 +102,7 @@ GOLDEN_WILSON = [  # (mean, stderr) of the NESWNEESWNWS word to the powers 1, 2,
 def test_stream_layout_golden_values():
     # Pins the sampled values themselves: the per-sample streams, the order
     # the kernel reads them in, and the Cayley step.
-    U = sample_ubm_batch(cfg_small(N=3, samples=2), 0.7)
+    U = sample_batch(cfg_small(N=3, samples=2), 0.7)
     assert U.dtype == np.complex128
     assert np.abs(U - np.array(GOLDEN_BATCH)).max() < 1e-12
     lassos, letters = loop_observable("NESWNEESWNWS")
@@ -206,7 +207,7 @@ def test_trace_drift_matches_limit():
     # E[tr U(t)/N] -> e^{-t/2}; at N=32 the finite-size bias is far below
     # the statistical resolution of 300 samples.
     cfg = MatrixSamplerConfig(N=32, samples=300, seed=17, step_count=50)
-    U = sample_ubm_batch(cfg, 1.0)
+    U = sample_batch(cfg, 1.0)
     tr = np.einsum("sii->s", U) / cfg.N
     se = tr.std() / math.sqrt(cfg.samples)
     assert abs(tr.mean() - math.exp(-0.5)) < 3 * se + 1e-4
@@ -219,7 +220,7 @@ def test_richardson_halving():
     means = {}
     for spc in (100, 200):
         cfg = MatrixSamplerConfig(N=16, samples=400, seed=23, step_count=spc)
-        U = sample_ubm_batch(cfg, t)
+        U = sample_batch(cfg, t)
         tr = np.einsum("sii->s", U) / cfg.N
         means[spc] = (tr.mean(), tr.std() / math.sqrt(cfg.samples))
     diff = abs(means[100][0] - means[200][0])
@@ -379,14 +380,6 @@ def test_used_config_copies_without_its_paths():
         assert estimate_wilson_many([(1.0, 1)], [[(0, 1)]], twin)[0].mean == est.mean
 
 
-def test_batch_is_the_callers_copy():
-    cfg = cfg_small(samples=6)
-    U = sample_ubm_batch(cfg, 1.0)
-    assert U.flags.writeable and U.flags.owndata
-    U[:] = 0
-    assert np.array_equal(sample_ubm_batch(cfg, 1.0), sample_ubm_batch(cfg_small(samples=6), 1.0))
-
-
 def test_orientation_flag_conjugates():
     cfg = cfg_small(samples=40)
     plus = estimate_wilson_many([(0.8, 1)], [[(0, 1)]], cfg)[0]
@@ -413,7 +406,7 @@ def test_classical_gauge_invariance():
     # Conjugating every lasso matrix by one shared unitary fixes all traces:
     # for the scalar observable this invariance is exact per sample.
     cfg = cfg_small(samples=25)
-    mats = [sample_ubm_batch(cfg, 0.6), sample_ubm_batch(cfg_small(seed=77, samples=25), 1.1)]
+    mats = [sample_batch(cfg, 0.6), sample_batch(cfg_small(seed=77, samples=25), 1.1)]
     rng = np.random.default_rng(2)
     q, r = np.linalg.qr(rng.standard_normal((cfg.N, cfg.N)) + 1j * rng.standard_normal((cfg.N, cfg.N)))
     V = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -431,7 +424,7 @@ def test_classical_braid_invariance():
     N, S = 24, 500
 
     def draw(seed, t):
-        return sample_ubm_batch(MatrixSamplerConfig(N=N, samples=S, seed=seed, step_count=50), t)
+        return sample_batch(MatrixSamplerConfig(N=N, samples=S, seed=seed, step_count=50), t)
 
     u1, u2 = draw(41, s_t), draw(42, t_t)
     braided = [u2, u2 @ u1 @ u2.conj().transpose(0, 2, 1)]
@@ -459,7 +452,7 @@ def test_block_moments_drift_toward_reference():
 
     def block_moment(N, samples, seed):
         cfg = MatrixSamplerConfig(N=N, samples=samples, seed=seed, step_count=50)
-        U = sample_ubm_batch(cfg, t)
+        U = sample_batch(cfg, t)
         d = N // 2
         blk = U[:, :d, :d]
         M = blk
