@@ -18,7 +18,7 @@ under face merges, and gauge conjugation by a free Haar unitary.
 """
 
 import operator
-from math import inf, isfinite
+from math import isfinite
 from numbers import Real
 
 from .freeprob import haar_unitary_state, product_state
@@ -72,11 +72,9 @@ class HolonomyField:
     def __init__(self, product="free", t_scale=1.0, tree_priority="NESW"):
         if product not in self.PRODUCTS:
             raise ValueError(f"product must be one of {self.PRODUCTS}, got {product!r}")
-        if not isinstance(t_scale, Real) or not 0 < t_scale < inf:
-            raise ValueError(f"t_scale must be positive and finite, got {t_scale!r}")
+        self.t_scale = _check_t_scale(t_scale)
         _check_priority(tree_priority)
         self.product = product
-        self.t_scale = float(t_scale)
         self.tree_priority = tree_priority
         self._contexts = {}  # loop word -> _LoopContext
         self._states = {}  # scaled face-area tuple -> product state
@@ -99,6 +97,15 @@ class FieldValue:
             f"FieldValue(loop={self.loop.word!r}, k={self.observable}, "
             f"value={self.value:.12g}, method={self.method})"
         )
+
+
+def _check_t_scale(t_scale):
+    """``t_scale`` as a float: a real number, not a bool, positive and finite."""
+    if isinstance(t_scale, bool) or not isinstance(t_scale, Real) or t_scale <= 0:
+        raise ValueError(f"t_scale must be a positive real number, got {t_scale!r}")
+    if not isfinite(t_scale):
+        raise ValueError(f"t_scale {t_scale!r} is not finite")
+    return float(t_scale)
 
 
 def _lasso_word(loop, t_scale, tree_priority):
@@ -165,7 +172,7 @@ def evaluate(field, loop, k=1):
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
     """The sampler's view of a loop: (area, orientation) lassos and the word."""
-    letters, areas = _lasso_word(_as_loop(loop), t_scale, tree_priority)
+    letters, areas = _lasso_word(_as_loop(loop), _check_t_scale(t_scale), tree_priority)
     return [(a, 1) for a in areas], list(letters)
 
 

@@ -300,11 +300,6 @@ def _product(mats, letters, prod=None):
     return prod
 
 
-def _scalar_values(mats, word, N):
-    """The normalized trace of a nonempty word's product, one value per sample."""
-    return np.einsum("sii->s", _product(mats, word)) / N
-
-
 def estimate_wilson_many(lassos, words, cfg):
     """Estimate several scalar Wilson loops over one lasso family with shared samples.
 

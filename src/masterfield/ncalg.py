@@ -4,7 +4,8 @@
 stars.  It carries a coproduct into the free product ``H ⊔ H`` (copies are
 marked by an integer tag on each letter), a counit, an antipode, and a
 conjugation coaction; together these make loop-reversal and gauge symmetry
-algebraic identities rather than analytic facts.
+algebraic identities rather than analytic facts.  Each map is a unital
+*-homomorphism, so it is given by the image of each generator ``u[i,j]``.
 
 Unitarity of the generator matrix is *not* imposed on words; it is applied
 on demand by :meth:`ZhangAlgebra.unitarity_reduce`, which contracts the two
@@ -18,22 +19,11 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-__all__ = [
-    "Letter",
-    "Element",
-    "ZhangAlgebra",
-    "AxiomReport",
-    "AXIOM_NAMES",
-    "verify_axiom",
-]
+__all__ = ["Letter", "Element", "ZhangAlgebra", "AxiomReport", "AXIOM_NAMES", "verify_axiom"]
 
 # One generator occurrence: matrix entry (i, j), starred or not, in the
 # free-product copy labelled ``copy``.
 Letter = namedtuple("Letter", ["i", "j", "star", "copy"])
-
-
-def _conj(c):
-    return c.conjugate() if isinstance(c, complex) else c
 
 
 class Element:
@@ -42,13 +32,7 @@ class Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for word, c in terms.items():
-                if c != 0:
-                    self.terms[word] = c
-
-    # -- constructors ------------------------------------------------------
+        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
     @staticmethod
     def zero():
@@ -58,12 +42,6 @@ class Element:
     def unit(coeff=1):
         return Element({(): coeff})
 
-    @staticmethod
-    def letter(L, coeff=1):
-        return Element({(L,): coeff})
-
-    # -- ring structure ----------------------------------------------------
-
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -71,17 +49,9 @@ class Element:
         return Element(out)
 
     def __sub__(self, other):
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __rmul__(self, scalar):
-        return Element({w: scalar * c for w, c in self.terms.items()})
+        return self + Element({w: -c for w, c in other.terms.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, Element):
-            return Element({w: c * other for w, c in self.terms.items()})
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -92,9 +62,6 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def is_zero(self):
         return not self.terms
 
@@ -103,47 +70,33 @@ class Element:
         out = {}
         for w, c in self.terms.items():
             w2 = tuple(Letter(L.i, L.j, not L.star, L.copy) for L in reversed(w))
-            out[w2] = out.get(w2, 0) + _conj(c)
+            out[w2] = out.get(w2, 0) + c.conjugate()
         return Element(out)
 
     def relabel(self, mapping):
         """Rename copy tags via ``mapping`` (tags not listed stay put)."""
         out = {}
         for w, c in self.terms.items():
-            w2 = tuple(
-                Letter(L.i, L.j, L.star, mapping.get(L.copy, L.copy)) for L in w
-            )
+            w2 = tuple(Letter(L.i, L.j, L.star, mapping.get(L.copy, L.copy)) for L in w)
             out[w2] = out.get(w2, 0) + c
         return Element(out)
 
-    def __repr__(self):
-        if self.is_zero():
-            return "Element(0)"
-        return f"Element({len(self.terms)} terms)"
 
+def _extend(x, img, copy):
+    """Apply a unital *-homomorphism to the letters tagged ``copy``; others stay put.
 
-def _extend(x, img):
-    """Algebra-morphism extension: replace letters by ``img(letter)``, in order."""
+    ``img(i, j)`` yields the distinct words that sum to the image of ``u[i,j]``,
+    and ``u*[i,j]`` maps to the star of that image.
+    """
     out = Element.zero()
     for w, c in x.terms.items():
         prod = Element.unit(c)
         for L in w:
-            prod = prod * img(L)
+            words = img(L.i, L.j) if L.copy == copy else [(L._replace(star=False),)]
+            image = Element(dict.fromkeys(words, 1))
+            prod = prod * (image.star() if L.star else image)
         out = out + prod
     return out
-
-
-AXIOM_NAMES = (
-    "coassoc",
-    "counit_left",
-    "counit_right",
-    "antipode_left",
-    "antipode_right",
-    "antipode_anticomorphism",
-    "coaction_assoc",
-    "coaction_counit",
-    "delta_comodule",
-)
 
 
 @dataclass
@@ -174,70 +127,40 @@ class ZhangAlgebra:
     """
 
     def __init__(self, n, corrupt=None):
-        if n < 1:
-            raise ValueError("matrix size must be >= 1")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
         known = (None, "delta_flip", "antipode_no_star", "counit_ones", "omega_swap_tags")
         if corrupt not in known:
             raise ValueError(f"unknown corruption {corrupt!r}")
         self.n = n
         self.corrupt = corrupt
 
-    # -- generators --------------------------------------------------------
-
     def generators(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                for star in (False, True):
-                    yield Letter(i, j, star, 1)
+        r = range(self.n)
+        return (Letter(i, j, star, 1) for i in r for j in r for star in (False, True))
 
-    # -- structural maps ---------------------------------------------------
-
-    def _delta_letter(self, L, left, right):
-        n = self.n
-        out = Element.zero()
-        for k in range(n):
-            if self.corrupt == "delta_flip":
-                pair = (Letter(L.i, k, False, left), Letter(L.j, k, False, right))
-            else:
-                pair = (Letter(L.i, k, False, left), Letter(k, L.j, False, right))
-            out = out + Element({pair: 1})
-        if L.star:
-            out = out.star()
-        return out
+    # -- structural maps, each given by the image of u[i,j] ------------------
 
     def delta(self, x, src=1, left=1, right=2):
         """Coproduct on letters tagged ``src``; its two legs get tags ``left``/``right``."""
+        flip = self.corrupt == "delta_flip"
 
-        def img(L):
-            if L.copy != src:
-                return Element.letter(L)
-            return self._delta_letter(L, left, right)
+        def img(i, j):
+            for k in range(self.n):
+                a, b = (j, k) if flip else (k, j)
+                yield Letter(i, k, False, left), Letter(a, b, False, right)
 
-        return _extend(x, img)
+        return _extend(x, img, src)
 
-    def antipode(self, x, only_copy=None):
+    def antipode(self, x, copy=1):
         """Loop reversal: ``u[i,j] -> u*[j,i]`` letterwise, word order kept."""
+        star = self.corrupt != "antipode_no_star"
+        return _extend(x, lambda i, j: [(Letter(j, i, star, copy),)], copy)
 
-        def img(L):
-            if only_copy is not None and L.copy != only_copy:
-                return Element.letter(L)
-            if self.corrupt == "antipode_no_star":
-                return Element.letter(Letter(L.j, L.i, L.star, L.copy))
-            return Element.letter(Letter(L.j, L.i, not L.star, L.copy))
-
-        return _extend(x, img)
-
-    def counit(self, x, only_copy=None):
-        """Evaluate letters (of one copy, or all) at the identity matrix."""
-
-        def img(L):
-            if only_copy is not None and L.copy != only_copy:
-                return Element.letter(L)
-            if self.corrupt == "counit_ones":
-                return Element.unit(1)
-            return Element.unit(1 if L.i == L.j else 0)
-
-        return _extend(x, img)
+    def counit(self, x, copy=1):
+        """Evaluate the letters of one copy at the identity matrix."""
+        ones = self.corrupt == "counit_ones"
+        return _extend(x, lambda i, j: [()] if ones or i == j else [], copy)
 
     def omega_c(self, x, src=1, gauge=1, body=2):
         """Conjugation coaction ``u[i,j] -> sum_ab u[i,a] u[a,b] u*[j,b]``.
@@ -247,25 +170,17 @@ class ZhangAlgebra:
         """
         if self.corrupt == "omega_swap_tags":
             gauge, body = body, gauge
-        n = self.n
 
-        def img(L):
-            if L.copy != src:
-                return Element.letter(L)
-            out = Element.zero()
-            for a in range(n):
-                for b in range(n):
-                    word = (
-                        Letter(L.i, a, False, gauge),
+        def img(i, j):
+            for a in range(self.n):
+                for b in range(self.n):
+                    yield (
+                        Letter(i, a, False, gauge),
                         Letter(a, b, False, body),
-                        Letter(L.j, b, True, gauge),
+                        Letter(j, b, True, gauge),
                     )
-                    out = out + Element({word: 1})
-            if L.star:
-                out = out.star()
-            return out
 
-        return _extend(x, img)
+        return _extend(x, img, src)
 
     # -- unitarity ---------------------------------------------------------
 
@@ -277,50 +192,35 @@ class ZhangAlgebra:
         one common coefficient, the family collapses to ``delta_ij`` times
         the shorter word.
         """
-        n = self.n
         terms = dict(x.terms)
-        changed = True
-        while changed:
-            changed = False
-            for word in sorted(terms):
-                c = terms.get(word, 0)
-                if c == 0:
-                    continue
-                for p in range(len(word) - 1):
-                    A, B = word[p], word[p + 1]
-                    if A.copy != B.copy:
-                        continue
-                    if not A.star and B.star and A.j == B.j:
-                        i, j = A.i, B.i
-                        family = [
-                            word[:p]
-                            + (Letter(i, k, False, A.copy), Letter(j, k, True, A.copy))
-                            + word[p + 2 :]
-                            for k in range(n)
-                        ]
-                    elif A.star and not B.star and A.i == B.i:
-                        i, j = A.j, B.j
-                        family = [
-                            word[:p]
-                            + (Letter(k, i, True, A.copy), Letter(k, j, False, A.copy))
-                            + word[p + 2 :]
-                            for k in range(n)
-                        ]
-                    else:
-                        continue
-                    if all(terms.get(w2, 0) == c for w2 in family):
-                        for w2 in family:
-                            del terms[w2]
-                        if i == j:
-                            rest = word[:p] + word[p + 2 :]
-                            terms[rest] = terms.get(rest, 0) + c
-                            if terms[rest] == 0:
-                                del terms[rest]
-                        changed = True
-                        break
-                if changed:
-                    break
+        while (found := self._complete_family(terms)) is not None:
+            family, rest, diagonal = found
+            c = terms[family[0]]
+            for w in family:
+                del terms[w]
+            if diagonal:
+                terms[rest] = terms.get(rest, 0) + c
         return Element(terms)
+
+    def _complete_family(self, terms):
+        """The first complete family: its words, the shorter word, and whether i == j.
+
+        Words are scanned in sorted order and their letter pairs left to right.
+        """
+        for word in sorted(w for w, c in terms.items() if c != 0):
+            for p, (A, B) in enumerate(zip(word, word[1:])):
+                row = not A.star and B.star and A.j == B.j  # u[i,k] u*[j,k]
+                column = A.star and not B.star and A.i == B.i  # u*[k,i] u[k,j]
+                if A.copy != B.copy or not (row or column):
+                    continue
+                if row:
+                    pairs = [(A._replace(j=k), B._replace(j=k)) for k in range(self.n)]
+                else:
+                    pairs = [(A._replace(i=k), B._replace(i=k)) for k in range(self.n)]
+                family = [word[:p] + pair + word[p + 2 :] for pair in pairs]
+                if all(terms.get(w2, 0) == terms[word] for w2 in family):
+                    return family, word[:p] + word[p + 2 :], (A.i == B.i if row else A.j == B.j)
+        return None
 
     # -- axiom checks ------------------------------------------------------
 
@@ -340,63 +240,38 @@ class ZhangAlgebra:
             if diff.is_zero():
                 continue
             reduced = self.unitarity_reduce(diff)
-            if reduced.is_zero():
-                needs = True
-                continue
-            gen = f"u*[{L.i},{L.j}]" if L.star else f"u[{L.i},{L.j}]"
-            return AxiomReport(
-                name,
-                self.n,
-                False,
-                needs,
-                counterexample=f"{gen}: difference has {len(reduced.terms)} surviving terms",
-            )
+            if not reduced.is_zero():
+                gen = f"u*[{L.i},{L.j}]" if L.star else f"u[{L.i},{L.j}]"
+                surviving = f"{gen}: difference has {len(reduced.terms)} surviving terms"
+                return AxiomReport(name, self.n, False, needs, counterexample=surviving)
+            needs = True
         return AxiomReport(name, self.n, True, needs)
 
     def axiom_sides(self, name, L):
         """The two elements an axiom equates, with explicit copy routing."""
-        x = Element.letter(L)
-        if name == "coassoc":
-            lhs = self.delta(self.delta(x, 1, 1, 2).relabel({2: 3}), 1, 1, 2)
-            rhs = self.delta(self.delta(x, 1, 1, 2), 2, 2, 3)
-            return lhs, rhs
-        if name == "counit_left":
-            lhs = self.counit(self.delta(x, 1, 1, 2), only_copy=1).relabel({2: 1})
-            return lhs, x
-        if name == "counit_right":
-            lhs = self.counit(self.delta(x, 1, 1, 2), only_copy=2)
-            return lhs, x
-        if name == "antipode_left":
-            lhs = self.antipode(self.delta(x, 1, 1, 2), only_copy=1).relabel({2: 1})
-            return lhs, self.counit(x)
-        if name == "antipode_right":
-            lhs = self.antipode(self.delta(x, 1, 1, 2), only_copy=2).relabel({2: 1})
-            return lhs, self.counit(x)
-        if name == "antipode_anticomorphism":
-            lhs = self.antipode(self.delta(x, 1, 1, 2)).relabel({1: 2, 2: 1})
-            rhs = self.delta(self.antipode(x), 1, 1, 2)
-            return lhs, rhs
-        if name == "coaction_assoc":
-            lhs = self.omega_c(self.omega_c(x, 1, 1, 2), src=2, gauge=2, body=3)
-            rhs = self.delta(self.omega_c(x, 1, 1, 2).relabel({2: 3}), 1, 1, 2)
-            return lhs, rhs
-        if name == "coaction_counit":
-            lhs = self.counit(self.omega_c(x, 1, 1, 2), only_copy=1).relabel({2: 1})
-            return lhs, x
-        if name == "delta_comodule":
-            lhs = self.omega_c(
-                self.omega_c(self.delta(x, 1, 1, 2), src=1, gauge=0, body=1),
-                src=2,
-                gauge=0,
-                body=2,
-            )
-            rhs = self.delta(self.omega_c(x, 1, 0, 1), src=1, left=1, right=2)
-            return lhs, rhs
-        raise AssertionError(name)
+        maps = (self.delta, self.antipode, self.counit, self.omega_c)
+        return _SIDES[name](*maps, Element({(L,): 1}))
 
 
-# -- module-level entry point (one stateless algebra per call) ------------
+# Each axiom's two sides as compositions of the coproduct d, the antipode s,
+# the counit e and the coaction w on one generator x in copy 1.
+_SIDES = {
+    "coassoc": lambda d, s, e, w, x: (d(d(x).relabel({2: 3})), d(d(x), 2, 2, 3)),
+    "counit_left": lambda d, s, e, w, x: (e(d(x)).relabel({2: 1}), x),
+    "counit_right": lambda d, s, e, w, x: (e(d(x), 2), x),
+    "antipode_left": lambda d, s, e, w, x: (s(d(x)).relabel({2: 1}), e(x)),
+    "antipode_right": lambda d, s, e, w, x: (s(d(x), 2).relabel({2: 1}), e(x)),
+    "antipode_anticomorphism": lambda d, s, e, w, x: (
+        s(s(d(x)), 2).relabel({1: 2, 2: 1}),
+        d(s(x)),
+    ),
+    "coaction_assoc": lambda d, s, e, w, x: (w(w(x), 2, 2, 3), d(w(x).relabel({2: 3}))),
+    "coaction_counit": lambda d, s, e, w, x: (e(w(x)).relabel({2: 1}), x),
+    "delta_comodule": lambda d, s, e, w, x: (w(w(d(x), 1, 0, 1), 2, 0, 2), d(w(x, 1, 0, 1))),
+}
+AXIOM_NAMES = tuple(_SIDES)
 
 
 def verify_axiom(name, n, corrupt=None):
+    """Check axiom ``name`` at matrix size ``n`` on a fresh, optionally corrupted algebra."""
     return ZhangAlgebra(n, corrupt=corrupt).verify_axiom(name)

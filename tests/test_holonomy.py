@@ -212,6 +212,22 @@ def test_values_stay_in_the_unit_disk_on_random_loops(product, seed):
         assert abs(evaluate(field, word, k).value) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize(
+    "scaled_area",
+    [
+        lambda t: HolonomyField(t_scale=t).t_scale,
+        lambda t: loop_observable("NESW", t_scale=t)[0][0][0],
+    ],
+    ids=["HolonomyField", "loop_observable"],
+)
+def test_one_t_scale_rule_for_fields_and_observables(scaled_area):
+    # a real number, not a bool, positive and finite; NESW has area 1
+    assert scaled_area(2) == scaled_area(2.0) == 2.0
+    for bad in (-1.0, 0, -math.inf, math.inf, math.nan, "1", None, True, False):
+        with pytest.raises(ValueError, match="t_scale"):
+            scaled_area(bad)
+
+
 def test_loop_observable_layout():
     lassos, letters = loop_observable("NESENWSW")
     assert lassos == [(1.0, 1), (1.0, 1)]

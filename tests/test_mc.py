@@ -325,7 +325,7 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
             mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
         out = []
         for word in words:
-            v = mc._scalar_values(mats, word, cfg.N)
+            v = np.einsum("sii->s", mc._product(mats, word)) / cfg.N
             out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
         return out
 

@@ -5,6 +5,8 @@ elements must also hold numerically after replacing each copy tag by an
 actual random unitary matrix and each letter by the corresponding entry.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,32 @@ def test_antipode_is_an_involution_and_star_laws():
 def test_generator_index_validation():
     with pytest.raises(ValueError, match=">= 1"):
         ZhangAlgebra(0)
+    for bad in (True, False, 1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="matrix size must be an integer"):
+            ZhangAlgebra(bad)
+    with pytest.raises(ValueError, match="matrix size must be an integer"):
+        verify_axiom("coassoc", True)
+
+
+def _axiom_digest():
+    h = hashlib.sha256()
+    configs = [(n, None) for n in (1, 2, 3)]
+    corruptions = ("delta_flip", "antipode_no_star", "counit_ones", "omega_swap_tags")
+    configs += [(2, c) for c in corruptions]
+    for n, corrupt in configs:
+        A = ZhangAlgebra(n, corrupt=corrupt)
+        for name in AXIOM_NAMES:
+            for L in A.generators():
+                for side in A.axiom_sides(name, L):
+                    h.update(repr(sorted(side.terms.items())).encode())
+            r = A.verify_axiom(name)
+            h.update(repr((r.holds, r.needs_unitarity, r.counterexample)).encode())
+    return h.hexdigest()
+
+
+def test_every_axiom_side_matches_its_golden_terms():
+    # exact terms of both sides, generator by generator, and every report,
+    # at n = 1, 2, 3 and at n = 2 under each corruption
+    assert _axiom_digest() == (
+        "7df1cc6f3576c4d3523be07401bf9440804ce6f5eff5b2c7f023efce3a1184a3"
+    )
