@@ -12,12 +12,22 @@ exact exponential exp(A) to fifth order; without it the plain Cayley map
 exp(A + A^3/12 + ...) carries a weak drift error linear in the step size,
 measurable against the Monte Carlo resolution at coarse step counts.
 
+The increment is built from one real (N, N) block X of standard normals,
+
+    A = sqrt(dt/N) ((-1+i)/2 X + (1+i)/2 X^T),
+
+so Re A = sqrt(dt/N) (X^T - X)/2 and Im A = sqrt(dt/N) (X + X^T)/2.  The
+sum and the difference of two independent normals are independent, so
+the diagonal is i N(0, dt/N) and the off-diagonal real and imaginary parts
+are independent N(0, dt/2N): the GUE law from N^2 normals, the Hermitian
+part's degrees of freedom, and A is antihermitian bit for bit.
+
 Since (I - B/2)^{-1} (I + B/2) = 2 (I - B/2)^{-1} - I, the step is computed
-as
+with C = A/4 as
 
-    U  <-  2 solve(M, U) - U,      M = I - B/2 = I - A/2 + A^3/24,
+    U  <-  solve(M/2, U) - U,      M/2 = I/2 - C + (4/3) C^3,
 
-which costs two matmuls (for A^3) and one solve per sample-step, with no
+which costs two matmuls (for C^3) and one solve per sample-step, with no
 B U product.
 
 The walk is batched across samples: every step takes one increment per
@@ -26,10 +36,10 @@ so a sample's values do not depend on the samples batched with it.  The
 increments are drawn a block of steps at a time, one ``standard_normal``
 call per sample and block, which on one stream gives bit for bit the draws,
 and the generator state, of one call per step.  The last block ends at the
-call's last step, so no stream is read past the piece the call walks.  The
-noise buffer holds at most ``_NOISE_FLOATS`` float64s (512 KB): a block is
-20 steps at N=4 with 100 samples, 4 at N=64 with 2 and 1 at N=64 with 400,
-where one block per 50-step piece would take 1.3 GB.
+call's last step, so no stream is read past the piece the call walks.  A
+block is as many steps as fit in ``_NOISE_FLOATS`` float64s (512 KB), and
+at least one: 40 steps at N=4 with 100 samples, 8 at N=64 with 2 and 1 at
+N=64 with 400, where the one step takes 13 MB.
 """
 
 import math
@@ -79,26 +89,26 @@ def evolve_unitaries(gens, N, t, step_count, start=None, dt=None):
 
 def _evolve_batched(gens, U, steps, dt):
     S, N = U.shape[0], U.shape[1]
-    diag = np.arange(N)
-    # A = i (Z + Z*) / 2 sqrt(dt/N): a GUE increment of entry variance dt/N
-    scale = 0.5 * math.sqrt(dt / N)
-    block = max(1, _NOISE_FLOATS // (S * N * N * 2))
-    noise = np.empty((S, min(block, steps), N, N, 2))
+    # C = A/4 = h ((X^T - X) + i (X + X^T)); the noise is scaled by h as drawn
+    h = math.sqrt(dt / N) / 8.0
+    block = max(1, _NOISE_FLOATS // (S * N * N))
+    noise = np.empty((S, min(block, steps), N, N))
+    C = np.empty((S, N, N), complex)
     for j in range(steps):
         if j % block == 0:
             n = min(block, steps - j)
             for s, g in enumerate(gens):
                 g.standard_normal(out=noise[s, :n])
-        Z = noise[:, j % block].view(np.complex128)[..., 0]
-        A = Z + Z.conj().transpose(0, 2, 1)
-        A *= 1j * scale
-        # M = I - B/2 = I - A/2 + A^3/24, built in the A^3 buffer
-        M = A @ A @ A
-        M /= 24.0
-        A *= 0.5
-        M -= A
-        M[:, diag, diag] += 1.0
+            noise[:, :n] *= h
+        Y = noise[:, j % block]
+        Yt = Y.transpose(0, 2, 1)
+        np.subtract(Yt, Y, out=C.real)
+        np.add(Y, Yt, out=C.imag)
+        # M/2 = I/2 - C + (4/3) C^3, built in the C^3 buffer
+        M = C @ C @ C
+        M *= 4.0 / 3.0
+        M -= C
+        M.reshape(S, N * N)[:, :: N + 1] += 0.5
         V = np.linalg.solve(M, U)
-        V *= 2.0
         U = np.subtract(V, U, out=V)
     return U

@@ -77,25 +77,27 @@ def test_worker_count_does_not_change_values(four_cpus):
         assert np.array_equal(sample_batch(cfg_small(samples=30, workers=workers), 0.6), U)
 
 
+# Both pins come from walk_one_draw_per_step on fresh mc._streams(5, samples),
+# slot after slot, not from the sampler's own output.
 GOLDEN_BATCH = [
-    [[0.9672988268653848 + 0.07541573613706702j, -0.055523453946672054 + 0.14215151937865464j,
-      0.000843650951602753 + 0.18802879072364714j],
-     [-0.09927401486296428 - 0.015217218481008763j, 0.5376907496172285 + 0.512029520672985j,
-      -0.5948575450342758 + 0.29115637565738295j],
-     [0.014069429108306471 + 0.21991044469740137j, 0.47871380314552564 + 0.44300972225627133j,
-      0.6313372157145446 - 0.35697373600271265j]],
-    [[0.8581294007584312 - 0.1699157689536192j, 0.22147894151834688 + 0.021793165883137493j,
-      -0.2515254104246951 + 0.3492129254627701j],
-     [-0.31090370557563507 + 0.23707004250358887j, 0.46125249356317777 - 0.6139816502492339j,
-      -0.2878340461485271 + 0.4178048743413985j],
-     [-0.07627425077439182 + 0.27579246271492874j, 0.36881586245328846 + 0.4740460592880372j,
-      0.5770201138170314 + 0.47373382579813683j]],
+    [[0.8085898193549841 + 0.5040660319083969j, -0.07086936272117958 - 0.15969841982232785j,
+      0.10810094247028637 - 0.22335638312432166j],
+     [0.0860937869432041 - 0.17666097551523485j, 0.8773640787679029 + 0.0759945639147554j,
+      0.35145711042665284 - 0.24962723940604703j],
+     [-0.05331644523970834 - 0.22502456701076545j, -0.3621403884525982 - 0.250570123375274j,
+      0.8674216910582428 + 0.013033154390987518j]],
+    [[0.7214018513869298 + 0.21271081961384916j, -0.17538471251182436 - 0.46640729068986j,
+      0.1251950177911712 - 0.4127518932282137j],
+     [0.5398746605371552 - 0.290994480565535j, 0.5132283182250683 - 0.016760175623937876j,
+      0.017798062655711565 + 0.5998804731285363j],
+     [0.2331940596987836 - 0.06173791174151658j, -0.05676309039331595 + 0.6962745028093562j,
+      0.6460038034672311 - 0.19096548114111317j]],
 ]
 
 GOLDEN_WILSON = [  # (mean, stderr) of the NESWNEESWNWS word to the powers 1, 2, 3
-    (0.20398620416986402 + 0.06256617670914749j, 0.07538285304255013),
-    (-0.2256910412093594 + 0.2640168298963521j, 0.11131148096660935),
-    (0.05908082927538601 - 0.08787194782900395j, 0.11135357987556627),
+    (0.43401033205594675 - 0.015187873812398518j, 0.1321161356649155),
+    (0.018952226798219292 - 0.12063860466818385j, 0.10414787473743495),
+    (-0.06445061215713621 - 0.2273770874334188j, 0.2508339015049956),
 ]
 
 
@@ -118,21 +120,19 @@ def walk_one_draw_per_step(gens, N, steps, dt):
     ident = np.eye(N, dtype=np.complex128)
     U = np.broadcast_to(ident, (len(gens), N, N)).copy()
     for _ in range(steps):
-        raw = np.array([g.standard_normal((N, N, 2)) for g in gens])
-        Z = raw.view(np.complex128)[..., 0]
-        A = (Z + Z.conj().transpose(0, 2, 1)) * (1j * 0.5 * math.sqrt(dt / N))
-        M = (A @ A @ A) / 24.0 - 0.5 * A + ident
-        U = 2.0 * np.linalg.solve(M, U) - U
+        C = np.array([increment(g.standard_normal((N, N)), N, dt) for g in gens]) / 4.0
+        M = (C @ C @ C) * (4.0 / 3.0) - C + 0.5 * ident
+        U = np.linalg.solve(M, U) - U
     return U
 
 
 def test_block_draws_match_one_draw_per_step():
-    # At N=16 with 8 samples a block holds 16 steps, so 50 steps cross
-    # full blocks and end in a partial one.  The generators must also stand
+    # At N=16 with 8 samples a block holds 32 steps, so 50 steps cross a
+    # full block and end in a partial one.  The generators must also stand
     # where one draw per step leaves them: no stream is read past the
     # call's last step.
     N, S, steps = 16, 8, 50
-    assert _kernels._NOISE_FLOATS // (S * N * N * 2) == 16
+    assert _kernels._NOISE_FLOATS // (S * N * N) == 32
     gens, oracle = mc._streams(3, S), mc._streams(3, S)
     U = _kernels.evolve_unitaries(gens, N, 1.0, steps)
     assert np.array_equal(U, walk_one_draw_per_step(oracle, N, steps, 1.0 / steps))
@@ -153,9 +153,10 @@ class FixedNoise:
 
 
 def increment(draw, N, dt):
-    """The antihermitian increment A that the kernel builds from one (N, N, 2) draw."""
-    Z = draw.view(np.complex128)[..., 0]
-    return (Z + Z.conj().T) * (1j * 0.5 * math.sqrt(dt / N))
+    """The antihermitian increment A that the kernel builds from one real (N, N) draw X:
+    sqrt(dt/N) ((-1+i)/2 X + (1+i)/2 X^T)."""
+    scale = math.sqrt(dt / N)
+    return (scale * (-1 + 1j) / 2) * draw + (scale * (1 + 1j) / 2) * draw.T
 
 
 def test_one_step_matches_the_exponential_to_fifth_order():
@@ -163,7 +164,7 @@ def test_one_step_matches_the_exponential_to_fifth_order():
     # the error by about 2^5 (the plain Cayley map, O(A^3), would give 2^3).
     N, dt = 8, 1.0 / 50
     rng = np.random.default_rng(1)
-    draw = rng.standard_normal((N, N, 2))
+    draw = rng.standard_normal((N, N))
     U0, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     errs = []
     for c in (1.0, 0.5, 0.25):
@@ -175,11 +176,11 @@ def test_one_step_matches_the_exponential_to_fifth_order():
 
 
 def test_walk_matches_the_textbook_cayley_step():
-    # 2 solve(I - B/2, U) - U is (I - B/2)^{-1} (I + B/2) U rearranged: over
+    # solve((I - B/2)/2, U) - U is (I - B/2)^{-1} (I + B/2) U rearranged: over
     # a 50-step walk the two agree to rounding.
     N, S, steps = 16, 2, 50
     dt = 1.0 / steps
-    draws = np.random.default_rng(2).standard_normal((S, steps, N, N, 2))
+    draws = np.random.default_rng(2).standard_normal((S, steps, N, N))
     U = _kernels.evolve_unitaries([FixedNoise(d) for d in draws], N, 1.0, steps)
     ident = np.eye(N)
     for s in range(S):
@@ -189,6 +190,38 @@ def test_walk_matches_the_textbook_cayley_step():
             B = A - A @ A @ A / 12.0
             V = np.linalg.solve(ident - 0.5 * B, V + 0.5 * (B @ V))
         assert np.abs(U[s] - V).max() <= 1e-14
+
+
+def test_increment_has_the_gue_covariance():
+    # The increment is linear in the draw X, so its law is fixed by the
+    # images A_k of the unit draws e_k.  They must be pairwise orthogonal,
+    # each with squared norm dt/N, in the Frobenius inner product: the GUE
+    # covariance on the N^2-dimensional space of antihermitian matrices.
+    # One Cayley step from I gives exp(A) + O(A^5), and (U - U*)/2 reads A
+    # back up to O(A^3), far below 1e-6 at this size of draw.
+    N, dt, c = 3, 1.0 / 50, 1e-3
+    units = np.eye(N * N).reshape(N * N, 1, N, N)
+    U = _kernels.evolve_unitaries([FixedNoise(c * e) for e in units], N, dt, 50)
+    A = (U - U.conj().transpose(0, 2, 1)).reshape(N * N, -1) / (2 * c)
+    gram = (A.conj() @ A.T).real
+    assert np.abs(gram - dt / N * np.eye(N * N)).max() <= 1e-6 * dt / N
+
+
+def test_small_n_moments_match_the_finite_n_closed_form():
+    # Levy's finite-N moments of U(N) Brownian motion (Schur-Weyl duality
+    # and the heat kernel measure on the unitary group, 2008):
+    # E tr U_t / N = e^{-t/2} and E tr U_t^2 / N = e^{-t} (cosh(t/N) - N sinh(t/N)).
+    # At N=2 the second differs from its large-N limit e^{-t} (1 - t).
+    N, t = 2, 1.0
+    cfg = MatrixSamplerConfig(N=N, samples=8000, seed=2008, step_count=50)
+    U = sample_batch(cfg, t)
+    exact = [math.exp(-t / 2), math.exp(-t) * (math.cosh(t / N) - N * math.sinh(t / N))]
+    for power, want in zip((1, 2), exact):
+        tr = np.einsum("sii->s", np.linalg.matrix_power(U, power)) / N
+        se = tr.std() / math.sqrt(cfg.samples)
+        assert abs(tr.mean() - want) < 3 * se
+    # and 8000 samples resolve the finite-N correction
+    assert abs(tr.mean() - math.exp(-t) * (1 - t)) > 3 * se
 
 
 def test_check_unitary_checks_every_matrix():
