@@ -14,13 +14,12 @@ import sys
 from .holonomy import (
     DEFAULT_CORPUS,
     HolonomyField,
-    _context,
+    _observable,
     check_area_invariance,
     check_braid_invariance,
     check_gauge_invariance_scalar,
     check_infinite_divisibility,
     evaluate,
-    loop_observable,
 )
 from .levy import fubm_moments
 from .mc import MatrixSamplerConfig, estimate_wilson_many
@@ -65,8 +64,6 @@ def _field_from(args):
 
 
 def _run_eval(args, out):
-    if _below("power", args.k, 0):
-        return 2
     if not args.constant and not args.loop:
         _fail(
             "not a loop: empty word allowed only as explicit constant "
@@ -161,11 +158,11 @@ def _sampler_config(args):
     )
 
 
-def _sampler_jobs(args, source, observe):
+def _sampler_jobs(args, source, field):
     """The sampler config and a ``(word, lassos, letters)`` job per loop.
 
-    ``observe(word)`` gives a loop's ``(lassos, letters)``.  None, after
-    saying why on stderr, if the corpus, config or a loop is bad.
+    A loop's lassos and letters are its sampler view under ``field``.
+    None, after saying why on stderr, if the corpus, config or a loop is bad.
     """
     try:
         words = _read_corpus(source)
@@ -176,7 +173,7 @@ def _sampler_jobs(args, source, observe):
     jobs = []
     for word in words:
         try:
-            lassos, letters = observe(word)
+            lassos, letters = _observable(field, Loop(word))
         except ValueError as exc:
             _fail(f"cannot use loop {word!r}: {exc}")
             return None
@@ -187,9 +184,7 @@ def _sampler_jobs(args, source, observe):
 def _run_mc(args, out):
     if _below("power", args.k, 0):
         return 2
-    loaded = _sampler_jobs(
-        args, args.loops, lambda word: loop_observable(word, t_scale=args.t_scale)
-    )
+    loaded = _sampler_jobs(args, args.loops, HolonomyField(t_scale=args.t_scale))
     if loaded is None:
         return 2
     cfg, jobs = loaded
@@ -207,14 +202,9 @@ def _run_mc(args, out):
 def _run_compare_mc(args, out):
     if _below("kmax", args.kmax, 1):
         return 2
+    # the exact evaluations below reuse the shapes the sampler jobs derive
     field = HolonomyField(t_scale=args.t_scale)
-
-    def observe(word):
-        # the field's own context, which the exact evaluations below reuse
-        ctx = _context(field, Loop(word))
-        return [(a, 1) for a in ctx.areas], ctx.letters
-
-    loaded = _sampler_jobs(args, args.corpus, observe)
+    loaded = _sampler_jobs(args, args.corpus, field)
     if loaded is None:
         return 2
     cfg, loops = loaded

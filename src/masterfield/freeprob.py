@@ -22,12 +22,12 @@ product state by the gap's block content, so a subword that recurs at other
 positions of a periodic word, or at another power of the same loop, is
 computed once.  Joint cumulants of a marginal are the same first-block
 expansion, walked the same way, and :func:`cumulants_from_moments` is that
-expansion on a state built from a moment table.  For a marginal of one
-unitary (the face states of :mod:`masterfield.levy` and the Haar unitary) a
-word's moment depends only on its net power: each word is reduced to that
-net power on entry, cumulants are memoised on the tuple of nets, and gap
-moments come from a per-state table indexed by |net|, filled as far as a
-call needs.
+expansion on a state built from a moment table.  A marginal of one unitary
+(the face states of :mod:`masterfield.levy` and the Haar unitary) is a
+state whose moments depend only on a word's net power: it holds one table
+indexed by |net power|, filled as far as a call needs, and both its moments
+and its cumulants read that table.  Its cumulants take the words' net
+powers and are memoised on the tuple of nets.
 
 The moment-cumulant transform :func:`moments_from_cumulants` sums over the
 noncrossing partitions of :func:`enumerate_nc`.
@@ -136,8 +136,6 @@ class State:
         self.tracial = tracial
         self._moments = {}
         self._cumulants = {}
-        # moments by |net power|, for states of one unitary (see _unitary_state)
-        self._net_moments = None
 
     def moment(self, word):
         word = tuple(word)
@@ -148,14 +146,9 @@ class State:
         return self._moments[word]
 
     def joint_cumulant(self, words):
-        """Free cumulant of a tuple of this state's own words (memoised).
-
-        For a state of one unitary each word is reduced to its net power.
-        """
+        """Free cumulant of a tuple of this state's own words (memoised)."""
         if not words:
             raise ValueError("cumulant of the empty word is undefined")
-        if self._net_moments is not None:
-            return self._net_cumulant(tuple(map(sum, words)))
         words = tuple(tuple(w) for w in words)
         memo = self._cumulants
         if words in memo:
@@ -175,50 +168,6 @@ class State:
                     val -= sub * prod * gap(chain[-1] + 1, m)
         memo[words] = val
         return val
-
-    def _net_cumulant(self, nets):
-        """Free cumulant of words of one unitary, given by their net powers."""
-        memo = self._cumulants
-        val = memo.get(nets)
-        if val is not None:
-            return val
-        m = len(nets)
-        prefix = [0]
-        for n in nets:
-            prefix.append(prefix[-1] + n)
-        # every gap is an interval of nets[1:], plus the whole word's total
-        inner = prefix[1:]
-        table = self._net_moments_to(max(max(inner) - min(inner), abs(prefix[m])))
-        val = table[abs(prefix[m])]
-        if m > 1:
-            total = prefix[m]
-            # depth-first over chains 0 = v0 < v1 < ... < vr, each carrying
-            # the product of the gap moments between its members
-            stack = [(0, (nets[0],), 1)]
-            pop, push = stack.pop, stack.append
-            while stack:
-                v, chosen, prod = pop()
-                start = prefix[v + 1]
-                if len(chosen) < m:
-                    tail = table[abs(total - start)]
-                    if tail:
-                        kap = memo.get(chosen)
-                        if kap is None:
-                            kap = self._net_cumulant(chosen)
-                        val -= kap * prod * tail
-                for w in range(v + 1, m):
-                    g = table[abs(prefix[w] - start)]
-                    if g:
-                        push((w, chosen + (nets[w],), prod * g))
-        memo[nets] = val
-        return val
-
-    def _net_moments_to(self, n):
-        """The moment table by |net power|, filled up to ``n`` if need be."""
-        table = self._net_moments
-        while len(table) <= n:
-            table.append(self._moment_fn((1,) * len(table)))
-        return table
 
     def __repr__(self):
         return f"State({self.name})"
@@ -243,23 +192,75 @@ def _chains(members, gap):
                 stack.append((chain + (members[q],), prod * g, q + 1))
 
 
-def _unitary_state(moment_fn, name):
+class _UnitaryState(State):
     """A tracial state on words over the exponents +-1 of one unitary.
 
-    Its cumulants take the net-power route of :meth:`State.joint_cumulant`.
+    A word's moment depends only on its net power n; ``moment_of_net(|n|)``
+    fills one table indexed by |n|, which moments and cumulants both read.
     """
-    state = State(moment_fn, name=name, tracial=True)
-    state._net_moments = [1]
-    return state
+
+    def __init__(self, moment_of_net, name):
+        super().__init__(moment_of_net, name=name, tracial=True)
+        self._table = [1]
+
+    def moment(self, word):
+        n = abs(sum(word))
+        return self._table_to(n)[n]
+
+    def joint_cumulant(self, words):
+        """Free cumulant of a tuple of words, through their net powers."""
+        if not words:
+            raise ValueError("cumulant of the empty word is undefined")
+        return self._net_cumulant(tuple(map(sum, words)))
+
+    def _net_cumulant(self, nets):
+        """Free cumulant of words of one unitary, given by their net powers."""
+        memo = self._cumulants
+        val = memo.get(nets)
+        if val is not None:
+            return val
+        m = len(nets)
+        prefix = [0]
+        for n in nets:
+            prefix.append(prefix[-1] + n)
+        # every gap is an interval of nets[1:], plus the whole word's total
+        inner = prefix[1:]
+        table = self._table_to(max(max(inner) - min(inner), abs(prefix[m])))
+        val = table[abs(prefix[m])]
+        if m > 1:
+            total = prefix[m]
+            # depth-first over chains 0 = v0 < v1 < ... < vr, each carrying
+            # the product of the gap moments between its members
+            stack = [(0, (nets[0],), 1)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                v, chosen, prod = pop()
+                start = prefix[v + 1]
+                if len(chosen) < m:
+                    tail = table[abs(total - start)]
+                    if tail:
+                        kap = memo.get(chosen)
+                        if kap is None:
+                            kap = self._net_cumulant(chosen)
+                        val -= kap * prod * tail
+                for w in range(v + 1, m):
+                    g = table[abs(prefix[w] - start)]
+                    if g:
+                        push((w, chosen + (nets[w],), prod * g))
+        memo[nets] = val
+        return val
+
+    def _table_to(self, n):
+        """The moment table by |net power|, filled up to ``n`` if need be."""
+        table = self._table
+        while len(table) <= n:
+            table.append(self._moment_fn(len(table)))
+        return table
 
 
 def haar_unitary_state():
     """Moments of a Haar unitary: words over exponents +-1, mean net power."""
-
-    def mom(word):
-        return 1 if sum(word) == 0 else 0
-
-    return _unitary_state(mom, "haar_unitary")
+    return _UnitaryState(lambda n: 0 if n else 1, "haar_unitary")
 
 
 def semicircle_state():

@@ -7,10 +7,13 @@ the loop into a word in the basis, attach to each lasso the semigroup
 state at its face area, combine the marginals with the chosen product,
 and take the moment of the word (raised to the requested power).
 
-A field keeps, per loop, only the lasso word and the face areas; the graph
-and basis are dropped once the word is known.  The product state depends
-on the loop only through its tuple of face areas, so the field builds one
-state per tuple and every loop with those areas shares it and its memos.
+A loop's *shape* is its lasso word and the integer areas of its faces, in
+lasso order; the graph and basis are dropped once it is known.  A field
+keeps one shape per loop word, and the exact values, the invariance sweeps
+and the sampler's view all read it.  Areas become times only where a state
+or a sampler job is built.  The product state depends on the loop only
+through its face areas, so the field builds one state per area tuple and
+every loop with those areas shares it and its memos.
 
 The check_* operations verify the field's defining invariances: braid
 moves of the basis, area-preserving rearrangement, infinite divisibility
@@ -18,7 +21,7 @@ under face merges, and gauge conjugation by a free Haar unitary.
 """
 
 import operator
-from math import isfinite
+from math import isfinite, isnan
 from numbers import Real
 
 from .freeprob import haar_unitary_state, product_state
@@ -32,7 +35,6 @@ from .planar import (
     build_graph,
     decompose,
     lasso_basis,
-    winding_profile,
 )
 
 __all__ = [
@@ -76,8 +78,8 @@ class HolonomyField:
         _check_priority(tree_priority)
         self.product = product
         self.tree_priority = tree_priority
-        self._contexts = {}  # loop word -> _LoopContext
-        self._states = {}  # scaled face-area tuple -> product state
+        self._shapes = {}  # loop word -> (lasso letters, face areas)
+        self._states = {}  # face-area tuple -> product state
 
     def __repr__(self):
         return f"HolonomyField(product={self.product!r}, t_scale={self.t_scale})"
@@ -108,44 +110,41 @@ def _check_t_scale(t_scale):
     return float(t_scale)
 
 
-def _lasso_word(loop, t_scale, tree_priority):
-    """The loop's word in its lasso basis, and each lasso's scaled face area."""
+def _lasso_word(loop, tree_priority):
+    """The loop's shape: its word in its lasso basis, and each lasso's face area."""
     basis = lasso_basis(build_graph([loop]), priority=tree_priority)
-    areas = tuple(l.face.area * t_scale for l in basis.lassos)
-    if not all(map(isfinite, areas)):
-        raise ValueError(f"face areas of {loop.word} at t_scale {t_scale} are not finite")
-    return decompose(loop, basis).letters, areas
-
-
-class _LoopContext:
-    """What evaluating one loop under one field reads: word, areas, state.
-
-    The state is the field's product state for these areas, shared with
-    every other context whose lassos have the same areas.
-    """
-
-    __slots__ = ("letters", "areas", "state")
-
-    def __init__(self, field, loop):
-        self.letters, self.areas = _lasso_word(loop, field.t_scale, field.tree_priority)
-        self.state = field._states.get(self.areas)
-        if self.state is None and self.areas:
-            marginals = [state_at(a) for a in self.areas]
-            self.state = field._states[self.areas] = product_state(marginals, field.product)
-
-    def moment(self, letters):
-        if self.state is None:
-            return 1.0
-        return self.state.moment(tuple(letters))
+    return decompose(loop, basis).letters, tuple(l.face.area for l in basis.lassos)
 
 
 def _context(field, loop):
-    key = loop.word
-    ctx = field._contexts.get(key)
-    if ctx is None:
-        ctx = _LoopContext(field, loop)
-        field._contexts[key] = ctx
-    return ctx
+    """The loop's shape under the field, derived once per loop word."""
+    shape = field._shapes.get(loop.word)
+    if shape is None:
+        shape = field._shapes[loop.word] = _lasso_word(loop, field.tree_priority)
+    return shape
+
+
+def _times(field, loop, areas):
+    """The loop's face areas as times: each scaled by the field's ``t_scale``."""
+    times = tuple(a * field.t_scale for a in areas)
+    if not all(map(isfinite, times)):
+        raise ValueError(f"face areas of {loop.word} at t_scale {field.t_scale} are not finite")
+    return times
+
+
+def _state(field, loop, areas):
+    """The field's product state for these face areas, shared by all loops with them."""
+    state = field._states.get(areas)
+    if state is None:
+        marginals = [state_at(t) for t in _times(field, loop, areas)]
+        state = field._states[areas] = product_state(marginals, field.product)
+    return state
+
+
+def _observable(field, loop):
+    """The sampler's view of a loop under the field: (time, 1) lassos and the word."""
+    letters, areas = _context(field, loop)
+    return [(t, 1) for t in _times(field, loop, areas)], list(letters)
 
 
 def _as_loop(loop):
@@ -165,15 +164,14 @@ def evaluate(field, loop, k=1):
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:
         return FieldValue(loop, k, 1.0, "exact")
-    ctx = _context(field, loop)
-    value = ctx.moment(tuple(ctx.letters) * k)
-    return FieldValue(loop, k, value, "exact")
+    letters, areas = _context(field, loop)
+    return FieldValue(loop, k, _state(field, loop, areas).moment(letters * k), "exact")
 
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
     """The sampler's view of a loop: (area, orientation) lassos and the word."""
-    letters, areas = _lasso_word(_as_loop(loop), _check_t_scale(t_scale), tree_priority)
-    return [(a, 1) for a in areas], list(letters)
+    loop = _as_loop(loop)
+    return _observable(HolonomyField(t_scale=t_scale, tree_priority=tree_priority), loop)
 
 
 class CheckReport:
@@ -189,9 +187,10 @@ class CheckReport:
     def record(self, label, deviation):
         deviation = abs(deviation)
         self.records.append((label, deviation))
-        if deviation > self.max_deviation:
+        # a NaN deviation is the worst one, and it fails
+        if isnan(deviation) or deviation > self.max_deviation:
             self.max_deviation = deviation
-        if deviation > self.tol:
+        if not deviation <= self.tol:
             self.failures.append((label, deviation))
 
     @property
@@ -243,14 +242,14 @@ def check_braid_invariance(
     report = CheckReport("braid invariance", tol)
     for word in loops if loops is not None else DEFAULT_CORPUS:
         loop = _as_loop(word)
-        ctx = _context(field, loop)
-        m = min(len(ctx.areas), max_strands)
-        base_letters = tuple(ctx.letters) * k
-        base_value = ctx.moment(base_letters)
+        letters, areas = _context(field, loop)
+        state = _state(field, loop, areas)
+        m = min(len(areas), max_strands)
+        base_value = state.moment(letters * k)
         braid_list = (
             braids if braids is not None else _braid_words(m - 1, max_len)
         )
-        generators = [LassoWord([(i, 1)]) for i in range(len(ctx.areas))]
+        generators = [LassoWord([(i, 1)]) for i in range(len(areas))]
         for braid in braid_list:
             if not braid:
                 report.record(f"{loop.word} | identity braid", 0.0)
@@ -258,16 +257,16 @@ def check_braid_invariance(
             inverse = tuple(-g for g in reversed(braid))
             images = braid_act(inverse, generators)
             source = braid_permutation(braid, len(generators))
-            substituted = LassoWord(ctx.letters).substitute(
+            substituted = LassoWord(letters).substitute(
                 {i: images[i] for i in range(len(images))}, unit=LassoWord()
             )
             relabeled = tuple(
                 (source[idx], expo) for idx, expo in substituted.letters
             )
-            if relabeled == tuple(ctx.letters):
+            if relabeled == letters:
                 report.record(f"{loop.word} | braid {braid} (fixed word)", 0.0)
                 continue
-            value = ctx.moment(relabeled * k)
+            value = state.moment(relabeled * k)
             report.record(f"{loop.word} | braid {braid}", value - base_value)
     return report
 
@@ -292,10 +291,17 @@ def check_infinite_divisibility(field, pairs=None, kmax=5, tol=1e-10):
     return report
 
 
-def _combinatorics(loop):
-    graph = build_graph([loop])
-    windings = tuple(sorted(abs(w) for w in winding_profile(loop, graph)))
-    return len(graph.faces), tuple(sorted(graph.face_areas())), windings
+def _combinatorics(shape):
+    """A shape's face count, sorted face areas and sorted |winding numbers|.
+
+    Lasso i winds once around face i and around no other face, so the
+    loop's winding around face i is the exponent sum of letter i.
+    """
+    letters, areas = shape
+    windings = [0] * len(areas)
+    for i, expo in letters:
+        windings[i] += expo
+    return len(areas), tuple(sorted(areas)), tuple(sorted(map(abs, windings)))
 
 
 def check_area_invariance(field, pairs=None, kmax=4, tol=1e-10):
@@ -313,7 +319,7 @@ def check_area_invariance(field, pairs=None, kmax=4, tol=1e-10):
     report = CheckReport("area invariance", tol)
     for a, b in pairs:
         la, lb = _as_loop(a), _as_loop(b)
-        ca, cb = _combinatorics(la), _combinatorics(lb)
+        ca, cb = (_combinatorics(_context(field, l)) for l in (la, lb))
         if ca != cb:
             raise ValueError(
                 f"embedding pair {la.word!r} / {lb.word!r} is not comparable: "

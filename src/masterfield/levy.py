@@ -30,7 +30,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, exp, factorial, inf
 
-from .freeprob import _unitary_state
+from .freeprob import _UnitaryState
 
 __all__ = [
     "fubm_polynomial",
@@ -92,12 +92,4 @@ def state_at(t):
     The element is unitary, so a word's value depends only on its net power.
     """
     _check_time(t)
-    cache = {}
-
-    def mom(word):
-        net = abs(sum(word))
-        if net not in cache:
-            cache[net] = fubm_moment(t, net)
-        return cache[net]
-
-    return _unitary_state(mom, f"fubm(t={t})")
+    return _UnitaryState(functools.partial(fubm_moment, t), f"fubm(t={t})")

@@ -311,6 +311,8 @@ def estimate_wilson_many(lassos, words, cfg):
     is built left to right either way, so each value is bit for bit that
     of the word estimated on its own.
     """
+    lassos = list(lassos)
+    words = [list(word) for word in words]
     areas = []
     for area, orient in lassos:
         if not 0 <= area < math.inf:

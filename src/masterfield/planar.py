@@ -240,9 +240,6 @@ class PlanarGraph:
         self.outer_walk = tuple(outer) if outer is not None else ()
         self.total_area = sum(f.area for f in self.faces)
 
-    def face_areas(self):
-        return [f.area for f in self.faces]
-
     def __repr__(self):
         return (
             f"PlanarGraph({len(self.adj)} vertices, {len(self.edges)} edges, "

@@ -248,11 +248,14 @@ def test_compare_mc_derives_each_loop_once(tmp_path, monkeypatch):
 
 
 def test_entry_point_subprocess():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "masterfield.cli", "eval", "--loop", "NESW",
          "--k", "1", "--field", "free"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_EVAL

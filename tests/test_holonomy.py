@@ -13,6 +13,8 @@ from masterfield.holonomy import (
     DEFAULT_CORPUS,
     CheckReport,
     HolonomyField,
+    _combinatorics,
+    _lasso_word,
     check_area_invariance,
     check_braid_invariance,
     check_gauge_invariance_scalar,
@@ -21,7 +23,14 @@ from masterfield.holonomy import (
     loop_observable,
 )
 from masterfield.levy import fubm_moment, state_at
-from masterfield.planar import Loop, build_graph, decompose, lasso_basis, random_loop
+from masterfield.planar import (
+    Loop,
+    build_graph,
+    decompose,
+    lasso_basis,
+    random_loop,
+    winding_profile,
+)
 
 
 FIELD = HolonomyField()
@@ -177,6 +186,26 @@ def test_area_invariance_sweep_and_ill_posed_pair():
         check_area_invariance(FIELD, pairs=[("NESW", "NEESWW")])
 
 
+def test_combinatorics_from_the_shape_match_the_graph():
+    # Oracle: face count, areas and windings read off a fresh drawing.
+    rng = np.random.default_rng(17)
+    words = list(DEFAULT_CORPUS) + [random_loop(rng, 24).word for _ in range(400)]
+    for w in words:
+        loop = Loop(w)
+        graph = build_graph([loop])
+        want = (
+            len(graph.faces),
+            tuple(sorted(f.area for f in graph.faces)),
+            tuple(sorted(abs(n) for n in winding_profile(loop, graph))),
+        )
+        for priority in ("NESW", "WSEN"):
+            assert _combinatorics(_lasso_word(loop, priority)) == want, (w, priority)
+    # NESWNESW winds twice around its one face, so NESW is no match for it
+    assert _combinatorics(_lasso_word(Loop("NESWNESW"), "NESW")) == (1, (1,), (2,))
+    with pytest.raises(ValueError, match="not comparable"):
+        check_area_invariance(FIELD, pairs=[("NESWNESW", "NESW")])
+
+
 def test_gauge_invariance_scalar_sweep():
     report = check_gauge_invariance_scalar(FIELD)
     assert report.ok
@@ -192,6 +221,17 @@ def test_check_report_surfaces_failures():
     assert report.failures == [("broken", 3e-4)]
     assert "FAIL" in report.lines()[0]
     assert any("broken" in line for line in report.lines()[1:])
+
+
+def test_check_report_fails_on_nan():
+    report = CheckReport("demo", tol=1e-10)
+    report.record("fine", 0.0)
+    report.record("undefined", math.nan)
+    report.record("small", 1e-12)
+    assert not report.ok
+    assert [label for label, _ in report.failures] == ["undefined"]
+    assert math.isnan(report.max_deviation)
+    assert "FAIL" in report.lines()[0]
 
 
 def test_values_stay_in_the_unit_disk():
@@ -289,10 +329,12 @@ def test_field_holds_one_state_per_area_tuple():
     field = HolonomyField(t_scale=0.5)
     for w in words:
         evaluate(field, w, 2)
-    contexts = field._contexts.values()
-    tuples = {ctx.areas for ctx in contexts}
-    assert len(field._states) == len(tuples) < len(contexts)
-    for ctx in contexts:
-        assert ctx.state is field._states[ctx.areas]
-        assert not hasattr(ctx, "basis")
-    assert HolonomyField()._states == {}
+    shapes = field._shapes
+    assert set(shapes) == {Loop(w).word for w in words}
+    for w, shape in shapes.items():
+        assert shape == _lasso_word(Loop(w), field.tree_priority)
+    tuples = {areas for _, areas in shapes.values()}
+    assert set(field._states) == tuples
+    assert len(field._states) < len(shapes)
+    fresh = HolonomyField()
+    assert fresh._shapes == {} and fresh._states == {}

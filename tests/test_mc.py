@@ -326,6 +326,21 @@ def test_words_in_any_order_match_separate_calls():
     assert [(e.mean, e.stderr) for e in together] == [fresh(w) for w in words]
 
 
+def test_one_shot_iterables_match_lists():
+    # Lassos, words and each word may be iterators, each walked only once.
+    lassos, letters = loop_observable("NESWNEESWNWS")
+    words = [tuple(letters) * k for k in (1, 2, 3)]
+
+    def estimates(lassos, words):
+        got = estimate_wilson_many(lassos, words, cfg_small(N=4, samples=6))
+        return [(e.mean, e.stderr) for e in got]
+
+    want = estimates(lassos, words)
+    assert len(want) == 3 and all(stderr > 0 for _, stderr in want)
+    assert estimates(iter(lassos), (w for w in words)) == want
+    assert estimates(lassos, [iter(w) for w in words]) == want
+
+
 def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     # A config keeps the paths evolved through it.  Every call through a
     # shared config must give bit for bit what the same call gives on a

@@ -202,7 +202,8 @@ def test_lasso_words_are_reduced_with_unit_winding():
         g = build_graph(Loop(w))
         basis = lasso_basis(g)
         for l in basis.lassos:
-            assert reduce_word(l.word) == l.word
+            raw = l.tail + l.bulk + invert_word(l.tail)
+            assert reduce_word(raw) == raw
             prof = winding_profile(l.loop(), g)
             assert prof == tuple(1 if f.id == l.face.id else 0 for f in g.faces)
 
@@ -325,8 +326,8 @@ def test_lasso_words_golden_digest():
     h = hashlib.sha256()
     for priority in ("NESW", "WSEN"):
         for w in words:
-            letters, areas = _lasso_word(Loop(w), 1.0, priority)
-            h.update(repr((letters, areas)).encode())
+            letters, areas = _lasso_word(Loop(w), priority)
+            h.update(repr((letters, tuple(map(float, areas)))).encode())
     assert h.hexdigest() == GOLDEN_LASSO_WORDS
 
 
