@@ -20,12 +20,11 @@ moves of the basis, area-preserving rearrangement, infinite divisibility
 under face merges, and gauge conjugation by a free Haar unitary.
 """
 
-import operator
 from math import isfinite, isnan
 from numbers import Real
 
 from .freeprob import haar_unitary_state, product_state
-from .levy import fubm_moment, state_at
+from .levy import _as_int, fubm_moment, state_at
 from .planar import (
     Loop,
     LassoWord,
@@ -154,12 +153,7 @@ def _as_loop(loop):
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
     loop = _as_loop(loop)
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"power must be an integer, got {k!r}") from None
+    k = _as_int(k, "power")
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:

@@ -7,9 +7,10 @@ matrices", 1997)
     m_k(t) = exp(-k t/2) p_k(t),
     p_k(t) = sum_{j<k} (-t)^j k^(j-1) C(k, j+1) / j!,
 
-so ``p_k`` is a polynomial with rational coefficients, kept exactly here.
-Low orders: ``p_1 = 1``, ``p_2 = 1 - t``, ``p_3 = 1 - 3t + 3t^2/2``.  The
-moments also solve the quadratic hierarchy
+so ``p_k = sum_j c_j t^j`` with rational ``c_j``: ``p_1 = 1``, ``p_2 = 1 - t``,
+``p_3 = 1 - 3t + 3t^2/2``.  At the exact ratio ``t = p/q``, ``p_k(t)`` is the
+integer ``sum_j a_j p^j q^(k-1-j)`` over ``k! q^(k-1)`` (``a_j = k! c_j``), one
+correctly rounded int division.  The moments also solve the quadratic hierarchy
 
     m_k' = -(k/2) m_k - (k/2) * sum_{j=1}^{k-1} m_j m_{k-j},  m_k(0) = 1,
 
@@ -25,10 +26,12 @@ the identity at t=0, the norm bound, positivity and the derivative at 0.
 from __future__ import annotations
 
 import functools
+import operator
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, factorial, inf
+from math import comb, exp, factorial, inf, perm
+from numbers import Integral, Real
 
 from .freeprob import _UnitaryState
 
@@ -41,18 +44,30 @@ __all__ = [
 
 
 def _check_time(t):
-    if not 0 <= t < inf:
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    if isinstance(t, bool) or not isinstance(t, Real) or not 0 <= t < inf:
+        raise ValueError(f"time must be a finite real number >= 0, got {t!r}")
+
+
+def _as_int(n, what):
+    """``n`` by ``operator.index``; a bool or a non-integer is a ValueError."""
+    try:
+        return operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {n!r}") from None
 
 
 @functools.cache
+def _numerators(k):
+    """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``."""
+    return tuple((-k) ** j * comb(k, j + 1) * perm(k - 1, k - 1 - j) for j in range(k)) or (1,)
+
+
 def fubm_polynomial(k):
     """Coefficients (constant first) of ``p_k``, exact rationals."""
+    k = _as_int(k, "moment order")
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
-    if k == 0:
-        return (Fraction(1),)
-    return tuple(Fraction((-k) ** j * comb(k, j + 1), k * factorial(j)) for j in range(k))
+    return tuple(Fraction(a, factorial(k)) for a in _numerators(k))
 
 
 def fubm_moment(t, k):
@@ -64,24 +79,25 @@ def fubm_moment(t, k):
     the float range: |m_k| <= 1, so p_k(t) <= exp(k t/2) fits elsewhere.
     """
     _check_time(t)
-    k = abs(k)
-    poly = fubm_polynomial(k)
-    tq = Fraction(t)
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * tq + c
+    k = abs(_as_int(k, "moment order"))
+    p, q = (int(t), 1) if isinstance(t, Integral) else t.as_integer_ratio()
+    num, q_pow = 0, 1
+    for a in reversed(_numerators(k)):
+        num = num * p + a * q_pow
+        q_pow *= q
+    den = factorial(k) * q_pow // q
     half = k * float(t) / 2
     scale = exp(-half)
     if scale >= sys.float_info.min:
-        return float(acc) * scale
+        return num / den * scale
     with localcontext() as ctx:
         ctx.prec = 30
-        return float(Decimal(acc.numerator) / acc.denominator * Decimal(-half).exp())
+        return float(Decimal(num) / den * Decimal(-half).exp())
 
 
 def fubm_moments(t, kmax):
     """The list ``[m_0(t), ..., m_kmax(t)]``."""
-    if kmax < 1:
+    if _as_int(kmax, "kmax") < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     return [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)]
 

@@ -247,18 +247,27 @@ def test_compare_mc_derives_each_loop_once(tmp_path, monkeypatch):
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
-def test_entry_point_subprocess():
+def run_module(*args):
+    """``python -m`` in a subprocess, with the repo's ``src`` first on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "masterfield.cli", "eval", "--loop", "NESW",
-         "--k", "1", "--field", "free"],
+    return subprocess.run(
+        [sys.executable, "-m", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_entry_point_subprocess():
+    proc = run_module("masterfield.cli", "eval", "--loop", "NESW", "--k", "1", "--field", "free")
     assert proc.returncode == 0
     assert proc.stdout == GOLDEN_EVAL
+
+
+def test_package_runs_as_a_module():
+    proc = run_module("masterfield", "eval", "--loop", "NESW")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, GOLDEN_EVAL, "")
 
 
 def test_eval_past_order_20(capsys):

@@ -1,4 +1,5 @@
 import decimal
+import functools
 import math
 import sys
 import time
@@ -212,3 +213,78 @@ def test_moments_keep_full_precision_where_the_exponential_is_subnormal():
     for t, k in ((2.0, 700), (1.0, 1416), (0.5, 30)):
         acc = polynomial_value(fubm_polynomial(k), t)
         assert fubm_moment(t, k) == float(acc) * math.exp(-k * t / 2)
+
+
+@functools.cache
+def biane_polynomial(k):
+    """p_k from Biane's formula, summed term by term in exact rationals."""
+    if k == 0:
+        return (Fraction(1),)
+    return tuple(Fraction((-k) ** j * math.comb(k, j + 1), k * math.factorial(j)) for j in range(k))
+
+
+def rounded_moment(t, k):
+    """The exact rational p_k(t), rounded once, times exp(-k t/2).
+
+    Where exp(-k t/2) is subnormal, the rational is divided out to 30
+    digits and multiplied by the 30-digit exponential instead.
+    """
+    acc = polynomial_value(biane_polynomial(k), t)
+    half = k * float(t) / 2
+    if math.exp(-half) >= sys.float_info.min:
+        return float(acc) * math.exp(-half)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        return float(Decimal(acc.numerator) / Decimal(acc.denominator) * Decimal(-half).exp())
+
+
+_GRID_TIMES = (
+    [1, 2, 3, 5]  # integers
+    + [0.5, 0.25, 1.5, 0.125]  # dyadic
+    + [a * 0.37 for a in (1, 2, 3, 4, 7)]  # non-dyadic: face areas at t_scale 0.37
+)
+_GRID = (
+    [(t, k) for t in _GRID_TIMES for k in range(0, 61, 4)]
+    + [(250, 60), (250.0, 7), (1e16, 20), (Fraction(7, 3), 17), (np.float64(0.37), 23)]
+    + [(3.5, 430), (1.0, 1440)]
+)
+
+
+def test_moments_are_the_correctly_rounded_rational_bit_for_bit():
+    subnormal = 0
+    for t, k in _GRID:
+        want = rounded_moment(t, k)
+        subnormal += math.exp(-k * float(t) / 2) < sys.float_info.min
+        assert fubm_moment(t, k) == want, (t, k)
+        assert fubm_moment(t, -k) == want, (t, -k)
+    assert subnormal == 5  # (250, 60), (250.0, 7), (1e16, 20), k=430 and k=1440
+
+
+def test_integer_time_types_agree():
+    # an np.int64 time must not run the polynomial in 64-bit integers
+    for k in (3, 40, 60):
+        assert fubm_moment(np.int64(3), k) == fubm_moment(3, k) == fubm_moment(3.0, k)
+        assert fubm_moment(3, np.int64(k)) == fubm_moment(3, k)
+    assert fubm_polynomial(np.int64(40)) == fubm_polynomial(40)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: fubm_moment(1.0, True), id="moment-bool-order"),
+        pytest.param(lambda: fubm_moment(True, 2), id="moment-bool-time"),
+        pytest.param(lambda: fubm_moment(1.0, 2.0), id="moment-float-order"),
+        pytest.param(lambda: fubm_moment("1", 2), id="moment-str-time"),
+        pytest.param(lambda: fubm_moment(1j, 2), id="moment-complex-time"),
+        pytest.param(lambda: fubm_moments(1.0, True), id="moments-bool-kmax"),
+        pytest.param(lambda: fubm_moments(1.0, 3.0), id="moments-float-kmax"),
+        pytest.param(lambda: fubm_moments(False, 3), id="moments-bool-time"),
+        pytest.param(lambda: fubm_polynomial(True), id="polynomial-bool-order"),
+        pytest.param(lambda: fubm_polynomial(2.0), id="polynomial-float-order"),
+        pytest.param(lambda: state_at(True), id="state-bool-time"),
+        pytest.param(lambda: state_at("1"), id="state-str-time"),
+    ],
+)
+def test_non_integer_orders_and_non_real_times_are_value_errors(call):
+    with pytest.raises(ValueError, match="must be an integer|must be a finite real number"):
+        call()
