@@ -36,7 +36,6 @@ noncrossing partitions of :func:`enumerate_nc`.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 __all__ = [
@@ -62,55 +61,37 @@ def catalan(n):
 
 
 def enumerate_nc(k):
-    """All noncrossing partitions of ``{0..k-1}`` (blocks sorted by minimum)."""
+    """All noncrossing partitions of ``{0..k-1}`` (blocks sorted by minimum).
+
+    The first element stands alone or joins the block of its next block
+    member ``elems[i]``; the elements between the two are partitioned apart.
+    """
     if k < 0 or k > NC_MAX:
         raise ValueError(f"noncrossing enumeration supports 0 <= k <= {NC_MAX}, got {k}")
 
     def rec(elems):
         if not elems:
-            yield ()
-            return
-        first, rest = elems[0], elems[1:]
-        for r in range(len(rest) + 1):
-            for others in combinations(rest, r):
-                block = (first,) + others
-                # remaining elements fall into the gaps between consecutive
-                # block members; each gap is partitioned independently
-                bounds = list(block) + [None]
-                gaps = []
-                for a, b in zip(bounds, bounds[1:]):
-                    gaps.append(
-                        tuple(x for x in rest if x not in others and x > a and (b is None or x < b))
-                    )
+            return [()]
+        first = elems[0]
+        out = [((first,),) + p for p in rec(elems[1:])]
+        for i in range(1, len(elems)):
+            inner = rec(elems[1:i])
+            for q in rec(elems[i:]):
+                head = ((first,) + q[0],)
+                out += [head + p + q[1:] for p in inner]
+        return out
 
-                def expand(i, acc):
-                    if i == len(gaps):
-                        yield acc
-                        return
-                    for sub in rec(gaps[i]):
-                        yield from expand(i + 1, acc + list(sub))
-
-                for tail in expand(0, []):
-                    yield (block,) + tuple(sorted(tail, key=lambda b2: b2[0]))
-
-    return list(rec(tuple(range(k))))
-
-
-def _as_fn(table):
-    if callable(table):
-        return table
-    return lambda w: table[w]
+    return rec(tuple(range(k)))
 
 
 def moments_from_cumulants(word, cumulants):
     """Sum over noncrossing partitions of products of cumulants of subwords."""
     word = tuple(word)
-    kap = _as_fn(cumulants)
     total = 0
     for pi in enumerate_nc(len(word)):
         prod = 1
         for block in pi:
-            prod *= kap(tuple(word[i] for i in block))
+            prod *= cumulants(tuple(word[i] for i in block))
             if prod == 0:
                 break
         total += prod
@@ -123,7 +104,7 @@ def cumulants_from_moments(word, moments):
     ``moments`` maps a subword (a tuple of letters) to its moment; the
     cumulant is :meth:`State.joint_cumulant` of the letters taken one by one.
     """
-    state = State(_as_fn(moments), tracial=False)
+    state = State(moments, tracial=False)
     return state.joint_cumulant(tuple((x,) for x in word))
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
+from .levy import _as_int
+
 __all__ = ["Letter", "Element", "ZhangAlgebra", "AxiomReport", "AXIOM_NAMES", "verify_axiom"]
 
 # One generator occurrence: matrix entry (i, j), starred or not, in the
@@ -127,12 +129,13 @@ class ZhangAlgebra:
     """
 
     def __init__(self, n, corrupt=None):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        size = _as_int(n, "matrix size")
+        if size < 1:
             raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
         known = (None, "delta_flip", "antipode_no_star", "counit_ones", "omega_swap_tags")
         if corrupt not in known:
             raise ValueError(f"unknown corruption {corrupt!r}")
-        self.n = n
+        self.n = size
         self.corrupt = corrupt
 
     def generators(self):

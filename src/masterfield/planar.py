@@ -11,8 +11,9 @@ out along a spanning tree to a vertex on the face boundary, go once
 anticlockwise around the face, and come back the same way.  The lassos
 freely generate the group of loops drawn on the graph.  A lasso basis is
 solved when it is built: each edge off the tree is written as a word in the
-lassos, so :func:`decompose` rewrites a loop drawn on the graph as a
-reduced word in them by reading its edges.
+lassos, along the tree that those edges form on the faces, deepest face
+first.  So :func:`decompose` rewrites a loop drawn on the graph as a
+reduced word in the lassos by reading its edges.
 
 Braids act on tuples of loops (or of abstract lasso words) by the usual
 conjugation substitution; see :func:`braid_act`.
@@ -186,10 +187,9 @@ class PlanarGraph:
     def __init__(self, loops):
         if isinstance(loops, Loop):
             loops = [loops]
-        self.loops = tuple(loops)
         self.adj = {(0, 0): set()}
         self.edges = set()
-        for lp in self.loops:
+        for lp in loops:
             pos = (0, 0)
             for s in lp.word:
                 nxt = step_end(pos, s)
@@ -306,10 +306,6 @@ class Lasso:
         self.tail = tail
         self.bulk = bulk
 
-    @property
-    def word(self):
-        return reduce_word(self.tail + self.bulk + invert_word(self.tail))
-
     def loop(self):
         return Loop(self.tail + self.bulk + invert_word(self.tail))
 
@@ -345,8 +341,8 @@ def _make_lasso(face, tree):
 class LassoWord:
     """A freely reduced word in the lasso generators (one per bounded face).
 
-    Letters are ``(face_id, sign)`` pairs; multiplication concatenates and
-    erases adjacent inverse pairs.
+    Letters are ``(face_id, sign)`` pairs, or ``(edge, sign)`` while a basis is
+    solved; multiplication concatenates and erases adjacent inverse pairs.
     """
 
     __slots__ = ("letters",)
@@ -392,11 +388,6 @@ class LassoWord:
             out = out * (x if s == 1 else x.inverse())
         return out
 
-    def __str__(self):
-        if not self.letters:
-            return "1"
-        return " ".join(f"F{g}" if s == 1 else f"F{g}^-1" for g, s in self.letters)
-
     def __repr__(self):
         return f"LassoWord({self.letters!r})"
 
@@ -424,13 +415,13 @@ def lasso_basis(graph, priority="NESW"):
 
 
 def _edge_letters(word, tree, start=(0, 0)):
-    """Signed non-tree edges met along a step word, freely reduced.
+    """The signed non-tree edges met along a step word, as a :class:`LassoWord`.
 
     Raises if the word leaves the drawing; tree edges are dropped, so the
     result represents the walk's class in the free group on non-tree edges.
     """
     graph = tree.graph
-    out = []
+    letters = []
     pos = start
     for s in word:
         edge, sign = _canon_edge(pos, s)
@@ -439,66 +430,44 @@ def _edge_letters(word, tree, start=(0, 0)):
                 f"loop not drawn on graph: step {s} at {pos} uses a missing edge"
             )
         if edge not in tree.tree_edges:
-            if out and out[-1][0] == edge and out[-1][1] == -sign:
-                out.pop()
-            else:
-                out.append((edge, sign))
+            letters.append((edge, sign))
         pos = step_end(pos, s)
-    return out
-
-
-def _in_lassos(letters, solved):
-    """The product of signed non-tree edges as a word in the lassos."""
-    out = LassoWord()
-    for e, s in letters:
-        x = solved[e]
-        out = out * (x if s == 1 else x.inverse())
-    return out
+    return LassoWord(letters)
 
 
 def _solve_edges(lassos, tree):
     """Express each non-tree edge generator as a word in the lassos.
 
-    Faces are peeled from the unbounded face inwards: at each step some
-    remaining face has a non-tree boundary edge whose far side is already
-    peeled (the drawing's non-tree edges form a tree on the faces), and that
-    pivot edge is solved from the face's bulk by back-substitution.  A
-    non-tree edge is never a bridge, so it lies once on the boundary of each
-    of two bounded faces, or of one when the unbounded face is the other.
+    A non-tree edge is never a bridge, so it lies once on the boundary of
+    each of two bounded faces, or of one when the unbounded face is the
+    other; and the non-tree edges form a spanning tree of the faces.  A
+    breadth-first walk of that tree from the unbounded face gives each
+    bounded face its one edge towards the unbounded face, and the edges are
+    solved from the faces' bulks by back-substitution, deepest face first.
     """
     bulk_letters = {}
     sides = {}  # non-tree edge -> the bounded faces along it
     for lasso in lassos:
         fid = lasso.face.id
-        bulk_letters[fid] = _edge_letters(lasso.bulk, tree, lasso.anchor)
+        bulk_letters[fid] = _edge_letters(lasso.bulk, tree, lasso.anchor).letters
         for e, _ in bulk_letters[fid]:
             sides.setdefault(e, []).append(fid)
-    alive = set(bulk_letters)
-    pivots = []
-    while alive:
-        pivot = next(
-            (
-                (fid, e)
-                for fid in sorted(alive)
-                for e in sorted(e for e, _ in bulk_letters[fid])
-                if all(f == fid or f not in alive for f in sides[e])
-            ),
-            None,
-        )
-        if pivot is None:
-            raise RuntimeError("face peeling stalled; drawing inconsistent")
-        alive.remove(pivot[0])
-        pivots.append(pivot)
+    order = [(fs[0], e) for e, fs in sides.items() if len(fs) == 1]
+    for fid, up in order:  # grows as the walk reaches deeper faces
+        for e, _ in bulk_letters[fid]:
+            if e != up:
+                a, b = sides[e]
+                order.append((b if a == fid else a, e))
     solved = {}
-    for fid, e in reversed(pivots):
+    for fid, e in reversed(order):
         letters = bulk_letters[fid]
         i = [e2 for e2, _ in letters].index(e)
-        alpha = _in_lassos(letters[:i], solved)
-        beta = _in_lassos(letters[i + 1 :], solved)
+        alpha = LassoWord(letters[:i]).substitute(solved, LassoWord())
+        beta = LassoWord(letters[i + 1 :]).substitute(solved, LassoWord())
         core = alpha.inverse() * LassoWord([(fid, 1)]) * beta.inverse()
         solved[e] = core if letters[i][1] == 1 else core.inverse()
     if len(solved) != len(tree.graph.edges) - len(tree.tree_edges):
-        raise RuntimeError("peeling did not reach every non-tree edge")
+        raise RuntimeError("the faces' tree did not reach every non-tree edge")
     return solved
 
 
@@ -509,7 +478,7 @@ def decompose(loop, basis):
     the exponent sum at a face equals the loop's winding number around it.
     """
     word = loop.word if isinstance(loop, Loop) else reduce_word(loop)
-    return _in_lassos(_edge_letters(word, basis.tree), basis.solved)
+    return _edge_letters(word, basis.tree).substitute(basis.solved, LassoWord())
 
 
 def winding(loop, around):
@@ -577,14 +546,16 @@ def braid_permutation(braid, n):
     return tuple(src)
 
 
-def random_loop(rng, max_len=24, max_tries=2000):
-    """A uniform-ish random nontrivial reduced loop of length <= max_len.
+def random_loop(rng, max_len=24):
+    """A uniform-ish random nontrivial reduced loop of length <= max_len (>= 4).
 
     Draws random step words of random even length and keeps the first whose
     reduction is a nontrivial closed loop; used by tests and the CLI demo
     corpus generator.
     """
-    for _ in range(max_tries):
+    if max_len < 4:
+        raise ValueError(f"max_len must be >= 4, got {max_len!r}")
+    while True:
         n = 2 * int(rng.integers(2, max_len // 2 + 1))
         draws = rng.integers(0, 4, size=n)
         north, east, south, west = np.bincount(draws, minlength=4)
@@ -593,4 +564,3 @@ def random_loop(rng, max_len=24, max_tries=2000):
         red = reduce_word(draws.astype(np.uint8).tobytes().translate(_STEP_BYTES).decode())
         if red:
             return Loop(red)
-    raise RuntimeError("failed to sample a closed loop")

@@ -168,6 +168,9 @@ def test_generator_index_validation():
             ZhangAlgebra(bad)
     with pytest.raises(ValueError, match="matrix size must be an integer"):
         verify_axiom("coassoc", True)
+    algebra = ZhangAlgebra(np.int64(2))
+    assert algebra.n == 2 and type(algebra.n) is int
+    assert verify_axiom("coassoc", np.int64(2)) == verify_axiom("coassoc", 2)
 
 
 def _axiom_digest():

@@ -10,6 +10,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masterfield.holonomy import _lasso_word
 from masterfield.planar import (
@@ -250,6 +252,21 @@ def test_decompose_with_alternate_tree_priority():
             assert back == lp
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+def test_decompose_roundtrip_and_windings_on_random_drawings(seed, count):
+    rng = np.random.default_rng(seed)
+    loops = [random_loop(rng, 24) for _ in range(count)]
+    g = build_graph(loops)
+    for priority in ("NESW", "WSEN"):
+        basis = lasso_basis(g, priority)
+        for lp in loops:
+            w, back = _roundtrip(lp, basis)
+            assert back == lp
+            for f in g.faces:
+                assert sum(e for fid, e in w.letters if fid == f.id) == winding(lp, f)
+
+
 def test_decompose_rejects_loop_off_graph():
     basis = lasso_basis(build_graph(Loop("NESW")))
     with pytest.raises(ValueError, match="loop not drawn on graph"):
@@ -341,6 +358,14 @@ def test_faces_golden_digest():
             h.update(repr((f.id, f.walk, f.word, f.area, f.cell)).encode())
         h.update(repr((g.outer_walk, g.total_area)).encode())
     assert h.hexdigest() == GOLDEN_FACES
+
+
+def test_random_loop_refuses_lengths_below_four():
+    rng = np.random.default_rng(0)
+    for max_len in (3, 2, 0, -4):
+        with pytest.raises(ValueError, match="max_len must be >= 4"):
+            random_loop(rng, max_len=max_len)
+    assert len(random_loop(rng, max_len=4)) == 4
 
 
 def test_random_loop_golden_digest():
