@@ -86,40 +86,35 @@ def _run_eval(args, out):
     return 0
 
 
+def _area_pairs(corpus):
+    words = _read_corpus(corpus)
+    if len(words) % 2:
+        raise ValueError(
+            "check area compares consecutive pairs: corpus must "
+            f"hold an even number of loops, got {len(words)}"
+        )
+    return {"pairs": list(zip(words[0::2], words[1::2]))}
+
+
+# Each check kind: its sweep, and the options it takes from a --corpus file
+# (None: it reads no corpus).  The default corpus takes the sweep's defaults.
 _CHECKS = {
-    "braid": check_braid_invariance,
-    "area": check_area_invariance,
-    "divisibility": check_infinite_divisibility,
-    "gauge": check_gauge_invariance_scalar,
+    "braid": (check_braid_invariance, lambda corpus: {"loops": _read_corpus(corpus)}),
+    "area": (check_area_invariance, _area_pairs),
+    "divisibility": (check_infinite_divisibility, None),
+    "gauge": (check_gauge_invariance_scalar, None),
 }
 
 
 def _run_check(args, out):
     field = _field_from(args)
+    check, corpus_options = _CHECKS[args.kind]
+    if args.corpus != "default" and corpus_options is None:
+        _fail(f"check {args.kind} does not read loops from a corpus; use --corpus default")
+        return 2
     try:
-        if args.kind == "braid":
-            report = check_braid_invariance(field, loops=_read_corpus(args.corpus))
-        elif args.kind == "area":
-            if args.corpus == "default":
-                report = check_area_invariance(field)
-            else:
-                words = _read_corpus(args.corpus)
-                if len(words) % 2:
-                    _fail(
-                        "check area compares consecutive pairs: corpus must "
-                        f"hold an even number of loops, got {len(words)}"
-                    )
-                    return 2
-                pairs = list(zip(words[0::2], words[1::2]))
-                report = check_area_invariance(field, pairs=pairs)
-        else:
-            if args.corpus != "default":
-                _fail(
-                    f"check {args.kind} does not read loops from a corpus; "
-                    "use --corpus default"
-                )
-                return 2
-            report = _CHECKS[args.kind](field)
+        options = {} if args.corpus == "default" else corpus_options(args.corpus)
+        report = check(field, **options)
     except ValueError as exc:
         _fail(str(exc))
         return 2

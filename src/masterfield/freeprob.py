@@ -14,20 +14,24 @@ The free product is computed by the first-block expansion through
 noncrossing cumulants; the test suite keeps the centering recursion as its
 oracle.  The expansion writes the moment of a word as a sum over chains
 ``i = v0 < v1 < ...`` of same-factor blocks: the factor's joint cumulant of
-the chain's blocks times the moments of the gaps between them.  It walks
-the chains depth first, each carrying the running product of its gap
-moments, so a chain costs one multiplication more than its parent and a
-zero gap prunes all its extensions.  A gap's moment is memoised on the
-product state by the gap's block content, so a subword that recurs at other
-positions of a periodic word, or at another power of the same loop, is
-computed once.  Joint cumulants of a marginal are the same first-block
-expansion, walked the same way, and :func:`cumulants_from_moments` is that
-expansion on a state built from a moment table.  A marginal of one unitary
-(the face states of :mod:`masterfield.levy` and the Haar unitary) is a
-state whose moments depend only on a word's net power: it holds one table
-indexed by |net power|, filled as far as a call needs, and both its moments
-and its cumulants read that table.  Its cumulants take the words' net
-powers and are memoised on the tuple of nets.
+the chain's blocks times the moments of the gaps between them and of the
+tail after the last.  One walk, :func:`_first_block`, sums it for the free
+product's moments and for every state's joint cumulants, which solve the
+same identity for the chain of all the words.  It goes depth first over
+the chains, each carrying the running product of its gap moments, so a
+chain costs one multiplication more than its parent and a zero gap prunes
+all its extensions.  A state gives the walk two things: a key for a word
+(:meth:`State._key`), on which its cumulants depend and by which they are
+memoised, and the gap rows of a tuple of keys (:meth:`State._rows`).  A
+general state keys a word by itself and reads the moments of concatenated
+words; :func:`cumulants_from_moments` is the walk on a state built from a
+moment table.  A marginal of one unitary (the face states of
+:mod:`masterfield.levy` and the Haar unitary) keys a word by its net power:
+it holds one table indexed by |net power|, filled as far as a call needs,
+and its rows are prefix sums into that table.  The free product's rows are
+its gap moments, memoised on the product state by the gap's block content,
+so a subword that recurs at other positions of a periodic word, or at
+another power of the same loop, is computed once.
 
 The moment-cumulant transform :func:`moments_from_cumulants` sums over the
 noncrossing partitions of :func:`enumerate_nc`.
@@ -36,7 +40,10 @@ noncrossing partitions of :func:`enumerate_nc`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+
+from ._ints import as_int
 
 __all__ = [
     "NC_MAX",
@@ -66,8 +73,7 @@ def enumerate_nc(k):
     The first element stands alone or joins the block of its next block
     member ``elems[i]``; the elements between the two are partitioned apart.
     """
-    if k < 0 or k > NC_MAX:
-        raise ValueError(f"noncrossing enumeration supports 0 <= k <= {NC_MAX}, got {k}")
+    k = as_int(k, f"noncrossing enumeration supports 0 <= k <= {NC_MAX}", 0, NC_MAX)
 
     def rec(elems):
         if not elems:
@@ -130,47 +136,67 @@ class State:
         """Free cumulant of a tuple of this state's own words (memoised)."""
         if not words:
             raise ValueError("cumulant of the empty word is undefined")
-        words = tuple(tuple(w) for w in words)
-        memo = self._cumulants
-        if words in memo:
-            return memo[words]
-        m = len(words)
-        if m == 1:
-            val = self.moment(words[0])
-        else:
-            val = self.moment(sum(words, ()))
+        return self._cumulant(tuple(map(self._key, words)))
 
-            def gap(a, b):
-                return self.moment(sum(words[a:b], ()))
-
-            for chain, prod in _chains(range(m), gap):
-                if len(chain) < m:  # the full chain is this cumulant itself
-                    sub = self.joint_cumulant(tuple(words[i] for i in chain))
-                    val -= sub * prod * gap(chain[-1] + 1, m)
-        memo[words] = val
+    def _cumulant(self, keys):
+        """The free cumulant of the words with these keys (memoised)."""
+        val = self._cumulants.get(keys)
+        if val is None:
+            whole, rows = self._rows(keys)
+            val = self._cumulants[keys] = _first_block(self, keys, rows, whole, solve=True)
         return val
+
+    def _key(self, word):
+        """What the cumulants of a word depend on: here the word itself."""
+        return tuple(word)
+
+    def _rows(self, words):
+        """The moment of the concatenated words, and their gap rows."""
+        moment = self.moment
+        rows = []
+        for v in range(len(words)):
+            gaps, between = [], ()
+            for w in range(v + 1, len(words)):
+                g = moment(between)
+                if g:
+                    gaps.append((w, g))
+                between += words[w]
+            rows.append((moment(between), gaps))
+        return moment(sum(words, ())), rows
 
     def __repr__(self):
         return f"State({self.name})"
 
 
-def _chains(members, gap):
-    """Chains ``members[0] = v0 < v1 < ... < vr`` of ``members``, depth first.
+def _first_block(state, keys, rows, val, solve=False):
+    """Add to ``val`` the first-block terms of ``state`` over ``keys``.
 
-    Yields ``(chain, prod)`` with ``prod`` the product of ``gap(v + 1, w)``
-    over consecutive members ``v, w``; each chain extends its parent's
-    product by one factor, and a chain whose product is zero is skipped with
-    all its extensions.
+    A term is a chain ``0 = v0 < v1 < ... < vr`` of positions in ``keys``:
+    the state's cumulant of the chain's keys, times the gap moments between
+    consecutive members, times the tail moment after ``vr``.  ``rows[v]``
+    holds that tail and the pairs ``(w, gap)`` from position v to each
+    later position w with a nonzero gap.  The chains are walked depth first,
+    each carrying the product of its gaps, and a zero tail skips a term.
+    With ``solve``, ``val`` is the moment of all the keys, the chain of
+    every position is left out and the terms are subtracted: the result is
+    the cumulant of all the keys.
     """
-    stack = [((members[0],), 1, 1)]
+    memo = state._cumulants
+    full = len(keys) if solve else -1
+    stack = [(0, (keys[0],), 1)]
+    pop, push = stack.pop, stack.append
     while stack:
-        chain, prod, nxt = stack.pop()
-        yield chain, prod
-        v = chain[-1]
-        for q in range(nxt, len(members)):
-            g = gap(v + 1, members[q])
-            if g:
-                stack.append((chain + (members[q],), prod * g, q + 1))
+        v, chain, prod = pop()
+        tail, gaps = rows[v]
+        if tail and len(chain) != full:
+            kap = memo.get(chain)
+            if kap is None:
+                kap = state._cumulant(chain)
+            term = kap * prod * tail
+            val = val - term if solve else val + term
+        for w, g in gaps:
+            push((w, chain + (keys[w],), prod * g))
+    return val
 
 
 class _UnitaryState(State):
@@ -188,48 +214,23 @@ class _UnitaryState(State):
         n = abs(sum(word))
         return self._table_to(n)[n]
 
-    def joint_cumulant(self, words):
-        """Free cumulant of a tuple of words, through their net powers."""
-        if not words:
-            raise ValueError("cumulant of the empty word is undefined")
-        return self._net_cumulant(tuple(map(sum, words)))
+    def _key(self, word):
+        """What the cumulants of a word depend on: here its net power."""
+        return sum(word)
 
-    def _net_cumulant(self, nets):
-        """Free cumulant of words of one unitary, given by their net powers."""
-        memo = self._cumulants
-        val = memo.get(nets)
-        if val is not None:
-            return val
-        m = len(nets)
-        prefix = [0]
-        for n in nets:
-            prefix.append(prefix[-1] + n)
-        # every gap is an interval of nets[1:], plus the whole word's total
-        inner = prefix[1:]
-        table = self._table_to(max(max(inner) - min(inner), abs(prefix[m])))
-        val = table[abs(prefix[m])]
-        if m > 1:
-            total = prefix[m]
-            # depth-first over chains 0 = v0 < v1 < ... < vr, each carrying
-            # the product of the gap moments between its members
-            stack = [(0, (nets[0],), 1)]
-            pop, push = stack.pop, stack.append
-            while stack:
-                v, chosen, prod = pop()
-                start = prefix[v + 1]
-                if len(chosen) < m:
-                    tail = table[abs(total - start)]
-                    if tail:
-                        kap = memo.get(chosen)
-                        if kap is None:
-                            kap = self._net_cumulant(chosen)
-                        val -= kap * prod * tail
-                for w in range(v + 1, m):
-                    g = table[abs(prefix[w] - start)]
-                    if g:
-                        push((w, chosen + (nets[w],), prod * g))
-        memo[nets] = val
-        return val
+    def _rows(self, nets):
+        """The net powers' gap rows, by prefix sums into the |net| table."""
+        prefix = list(accumulate(nets))
+        total = prefix[-1]
+        table = self._table_to(max(max(prefix) - min(prefix), abs(total)))
+        rows = [
+            (table[abs(total - start)], [
+                (w, g) for w in range(v + 1, len(nets))
+                if (g := table[abs(prefix[w - 1] - start)])
+            ])
+            for v, start in enumerate(prefix)
+        ]
+        return table[abs(total)], rows
 
     def _table_to(self, n):
         """The moment table by |net power|, filled up to ``n`` if need be."""
@@ -322,13 +323,7 @@ class ProductState(State):
             for f, syms in blocks:
                 out *= self.factors[f].moment(syms)
             return out
-        return self._free_moment(tuple(blocks))
-
-    # -- free product ------------------------------------------------------
-
-    def _free_moment(self, blocks):
-        key = _cyclic_canonical(blocks) if self.tracial_all else tuple(blocks)
-        return self._free_cumulant_dp(key)
+        return self._free_cumulant_dp(blocks)
 
     def _free_cumulant_dp(self, blocks):
         """First-block expansion over same-factor cumulants, gap by gap.
@@ -336,6 +331,7 @@ class ProductState(State):
         ``seg(i, j)`` is the moment of the subword ``blocks[i:j]``, memoised
         on the product by that subword rather than by its position.
         """
+        blocks = _cyclic_canonical(blocks) if self.tracial_all else tuple(blocks)
         memo = self._gap_memo
 
         def seg(i, j):
@@ -347,16 +343,17 @@ class ProductState(State):
             key = blocks[i:j]
             val = memo.get(key)
             if val is None:
-                f0 = blocks[i][0]
-                state = self.factors[f0]
-                members = [q for q in range(i, j) if blocks[q][0] == f0]
-                val = 0
-                for chain, prod in _chains(members, seg):
-                    tail = seg(chain[-1] + 1, j)
-                    if tail:
-                        words = tuple(blocks[q][1] for q in chain)
-                        val += state.joint_cumulant(words) * prod * tail
-                memo[key] = val
+                state = self.factors[blocks[i][0]]
+                members = [q for q in range(i, j) if blocks[q][0] == blocks[i][0]]
+                rows = [
+                    (seg(q + 1, j), [
+                        (b, g) for b in range(a + 1, len(members))
+                        if (g := seg(q + 1, members[b]))
+                    ])
+                    for a, q in enumerate(members)
+                ]
+                keys = tuple(state._key(blocks[q][1]) for q in members)
+                val = memo[key] = _first_block(state, keys, rows, 0)
             return val
 
         return seg(0, len(blocks))
@@ -386,8 +383,7 @@ def joint_cumulants_check_conjugation(order=6):
     variable come from the free product of the Haar and semicircle states,
     and both cumulant tables are produced by the same transform.
     """
-    if order < 1 or order > NC_MAX:
-        raise ValueError(f"order must be between 1 and {NC_MAX}")
+    order = as_int(order, f"order must be between 1 and {NC_MAX}", 1, NC_MAX)
     v = haar_unitary_state()
     w = semicircle_state()
     ps = product_state([v, w], "free")

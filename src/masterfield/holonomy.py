@@ -23,8 +23,9 @@ under face merges, and gauge conjugation by a free Haar unitary.
 from math import isfinite, isnan
 from numbers import Real
 
+from ._ints import as_int
 from .freeprob import haar_unitary_state, product_state
-from .levy import _as_int, fubm_moment, state_at
+from .levy import fubm_moment, state_at
 from .planar import (
     Loop,
     LassoWord,
@@ -156,7 +157,7 @@ def _as_loop(loop):
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
     loop = _as_loop(loop)
-    k = _as_int(k, "power")
+    k = as_int(k, "power must be an integer")
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:

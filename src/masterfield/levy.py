@@ -26,13 +26,13 @@ the identity at t=0, the norm bound, positivity and the derivative at 0.
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, exp, factorial, inf, perm
 from numbers import Integral, Real
 
+from ._ints import as_int
 from .freeprob import _UnitaryState
 
 __all__ = [
@@ -48,14 +48,6 @@ def _check_time(t):
         raise ValueError(f"time must be a finite real number >= 0, got {t!r}")
 
 
-def _as_int(n, what):
-    """``n`` by ``operator.index``; a bool or a non-integer is a ValueError."""
-    try:
-        return operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {n!r}") from None
-
-
 @functools.cache
 def _numerators(k):
     """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``."""
@@ -64,7 +56,7 @@ def _numerators(k):
 
 def fubm_polynomial(k):
     """Coefficients (constant first) of ``p_k``, exact rationals."""
-    k = _as_int(k, "moment order")
+    k = as_int(k, "moment order must be an integer")
     if k < 0:
         raise ValueError(f"moment order must be >= 0, got {k}")
     return tuple(Fraction(a, factorial(k)) for a in _numerators(k))
@@ -79,7 +71,7 @@ def fubm_moment(t, k):
     the float range: |m_k| <= 1, so p_k(t) <= exp(k t/2) fits elsewhere.
     """
     _check_time(t)
-    k = abs(_as_int(k, "moment order"))
+    k = abs(as_int(k, "moment order must be an integer"))
     p, q = (int(t), 1) if isinstance(t, Integral) else t.as_integer_ratio()
     num, q_pow = 0, 1
     for a in reversed(_numerators(k)):
@@ -97,7 +89,7 @@ def fubm_moment(t, k):
 
 def fubm_moments(t, kmax):
     """The list ``[m_0(t), ..., m_kmax(t)]``."""
-    if _as_int(kmax, "kmax") < 1:
+    if as_int(kmax, "kmax must be an integer") < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     return [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)]
 

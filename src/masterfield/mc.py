@@ -25,13 +25,13 @@ are freed with the config.
 """
 
 import math
-import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._ints import as_int
 from ._kernels import evolve_unitaries, step_grid
 
 __all__ = [
@@ -46,19 +46,6 @@ _UNITARITY_TOL = 1e-8
 # A batch splits across the usable CPUs by default once samples * N**3
 # reaches this; below it, thread dispatch costs more than the split saves.
 _SPLIT_WORK = 2**15
-
-
-def _integer(value, least, what):
-    """``value`` as an int >= ``least``; otherwise ValueError, bools included."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        n = operator.index(value)
-    except TypeError:
-        n = least - 1
-    if n < least:
-        raise ValueError(f"{what}, got {value!r}")
-    return n
 
 
 def default_workers(N, samples):
@@ -90,19 +77,19 @@ class MatrixSamplerConfig:
         step_count=200,
         workers=None,
     ):
-        N = _integer(N, 2, "matrix size must be an integer >= 2")
-        samples = _integer(samples, 1, "sample count must be an integer >= 1")
-        seed = _integer(seed, 0, "seed must be an integer >= 0")
-        step_count = _integer(
+        N = as_int(N, "matrix size must be an integer >= 2", 2)
+        samples = as_int(samples, "sample count must be an integer >= 1", 1)
+        seed = as_int(seed, "seed must be an integer >= 0", 0)
+        step_count = as_int(
             step_count,
-            50,
             "step_count too small or not an integer: need at least 50 steps per "
             "unit time (unitarity/discretization drift exceeds tolerance)",
+            50,
         )
         if workers is None:
             workers = default_workers(N, samples)
         else:
-            workers = _integer(workers, 1, "worker count must be an integer >= 1")
+            workers = as_int(workers, "worker count must be an integer >= 1", 1)
         self.N = N
         self.samples = samples
         self.seed = seed

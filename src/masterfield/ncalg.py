@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .levy import _as_int
+from ._ints import as_int
 
 __all__ = ["Letter", "Element", "ZhangAlgebra", "AxiomReport", "AXIOM_NAMES", "verify_axiom"]
 
@@ -129,9 +129,7 @@ class ZhangAlgebra:
     """
 
     def __init__(self, n, corrupt=None):
-        size = _as_int(n, "matrix size")
-        if size < 1:
-            raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
+        size = as_int(n, "matrix size must be an integer >= 1", 1)
         known = (None, "delta_flip", "antipode_no_star", "counit_ones", "omega_swap_tags")
         if corrupt not in known:
             raise ValueError(f"unknown corruption {corrupt!r}")

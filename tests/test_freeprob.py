@@ -75,8 +75,10 @@ def test_nc_matches_brute_force_filter():
 
 
 def test_enumeration_caps():
-    with pytest.raises(ValueError, match="supports"):
-        enumerate_nc(13)
+    for bad in (13, -1, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="supports"):
+            enumerate_nc(bad)
+    assert enumerate_nc(np.int64(3)) == enumerate_nc(3)
 
 
 def test_moment_cumulant_round_trip_single_variable():
@@ -302,8 +304,9 @@ def test_conjugation_cumulant_report():
         val = rep.conjugated[("w",) * m]
         assert isinstance(val, (int, Fraction))
         assert val == (1 if m == 2 else 0)
-    with pytest.raises(ValueError, match="order"):
-        joint_cumulants_check_conjugation(0)
+    for bad in (0, 13, 2.0, True):
+        with pytest.raises(ValueError, match="order must be between 1 and 12"):
+            joint_cumulants_check_conjugation(bad)
 
 
 def test_cumulant_of_the_empty_word_is_an_error():
@@ -355,6 +358,23 @@ def test_unitary_cumulant_kernel_matches_subset_expansion(spec, t):
     want = subset_cumulant(moment, words, {})
     got = state_at(t).joint_cumulant(words)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_general_cumulant_matches_subset_expansion(words, salt):
+    # a non-tracial state with rational moments, some of them zero, on
+    # multi-letter words: its gap moments are those of concatenated words
+    words = tuple(map(tuple, words))
+
+    def moment(word):
+        return rational_noise((salt,) + word) if word else 1
+
+    want = subset_cumulant(moment, words, {})
+    assert State(moment, tracial=False).joint_cumulant(words) == want
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Exact field evaluation on lattice loops, plus the invariance sweeps."""
 
+import hashlib
 import math
 import random
 
@@ -338,3 +339,22 @@ def test_field_holds_one_state_per_area_tuple():
     assert len(field._states) < len(shapes)
     fresh = HolonomyField()
     assert fresh._shapes == {} and fresh._states == {}
+
+
+# Pinned digest of the exact route: `repr` of every value below.  A change
+# that moves exact values by up to 1e-12 (such as peeling faces that occur
+# once) re-pins it and says so in CHANGES.md.
+GOLDEN_EVALUATE = "a3a8a43b03f0f0c96f1c311b987fbe75e51788bb69029e750a874432cb1a7fc7"
+
+
+def test_evaluate_golden_digest():
+    rng = np.random.default_rng(20261019)
+    words = list(DEFAULT_CORPUS) + [random_loop(rng).word for _ in range(150)]
+    h = hashlib.sha256()
+    for product in HolonomyField.PRODUCTS:
+        for t_scale in (1.0, 0.37):
+            field = HolonomyField(product=product, t_scale=t_scale)
+            for w in words:
+                for k in range(1, 4):
+                    h.update(repr(evaluate(field, w, k).value).encode())
+    assert h.hexdigest() == GOLDEN_EVALUATE
