@@ -2,15 +2,20 @@
 
 Every command emits CSV (stdout by default) with floats at 15 significant
 digits, so deterministic runs are byte-stable and suitable for golden files.
-Diagnostics go to stderr; the exit status is 0 on success, 1 when a check or
+Each command is a ``_run_*(args)`` that returns its CSV rows, header first,
+and a failure line or None, or raises ``ValueError`` for unusable input.
+Only ``main`` writes: it opens ``--out``, writes the rows, puts at most one
+line on stderr and returns the exit status: 0 on success, 1 when a check or
 comparison fails, and 2 for unusable input.
 """
 
 import argparse
+import contextlib
 import csv
-import math
+import os
 import sys
 
+from ._ints import as_int
 from .holonomy import (
     DEFAULT_CORPUS,
     HolonomyField,
@@ -28,17 +33,6 @@ from .planar import Loop
 
 def _fmt(x):
     return f"{x:.15g}"
-
-
-def _fail(message):
-    print(message, file=sys.stderr)
-
-
-def _below(name, value, least):
-    """True, after saying so on stderr, when an integer flag is under its least value."""
-    if value < least:
-        _fail(f"{name} must be >= {least}, got {value}")
-    return value < least
 
 
 def _read_corpus(source):
@@ -63,27 +57,17 @@ def _field_from(args):
     return HolonomyField(product=args.field, t_scale=args.t_scale)
 
 
-def _run_eval(args, out):
-    if not args.constant and not args.loop:
-        _fail(
-            "not a loop: empty word allowed only as explicit constant "
-            "`eval --constant`"
+def _run_eval(args):
+    if args.constant and args.loop is not None:
+        raise ValueError("eval takes --loop or --constant, not both")
+    if not (args.constant or args.loop):
+        raise ValueError(
+            "not a loop: empty word allowed only as explicit constant `eval --constant`"
         )
-        return 2
-    try:
-        loop = Loop("" if args.constant else args.loop)
-    except ValueError as exc:
-        _fail(f"not a loop: {exc}")
-        return 2
-    try:
-        # a finite t-scale can still overflow a face area
-        result = evaluate(_field_from(args), loop, args.k)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
-    out.writerow(["loop", "k", "value", "method"])
-    out.writerow([result.loop.word, args.k, _fmt(result.value), result.method])
-    return 0
+    result = evaluate(_field_from(args), args.loop or "", args.k)
+    rows = [["loop", "k", "value", "method"]]
+    rows.append([result.loop.word, args.k, _fmt(result.value), result.method])
+    return rows, None
 
 
 def _area_pairs(corpus):
@@ -106,147 +90,84 @@ _CHECKS = {
 }
 
 
-def _run_check(args, out):
+def _run_check(args):
     field = _field_from(args)
     check, corpus_options = _CHECKS[args.kind]
     if args.corpus != "default" and corpus_options is None:
-        _fail(f"check {args.kind} does not read loops from a corpus; use --corpus default")
-        return 2
-    try:
-        options = {} if args.corpus == "default" else corpus_options(args.corpus)
-        report = check(field, **options)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
-    out.writerow(["check", "case", "deviation"])
-    for label, deviation in report.records:
-        out.writerow([args.kind, label, _fmt(deviation)])
-    if not report.ok:
-        label, deviation = report.failures[0]
-        _fail(
-            f"{report.name}: FAIL at {label}: deviation {deviation:.3e} "
-            f"exceeds tol {report.tol:g}"
+        raise ValueError(
+            f"check {args.kind} does not read loops from a corpus; use --corpus default"
         )
-        return 1
-    return 0
+    report = check(field, **({} if args.corpus == "default" else corpus_options(args.corpus)))
+    rows = [["check", "case", "deviation"]]
+    rows += [[args.kind, label, _fmt(deviation)] for label, deviation in report.records]
+    if report.ok:
+        return rows, None
+    label, deviation = report.failures[0]
+    return rows, (
+        f"{report.name}: FAIL at {label}: deviation {deviation:.3e} "
+        f"exceeds tol {report.tol:g}"
+    )
 
 
-def _run_moments(args, out):
-    try:
-        values = fubm_moments(args.t, args.kmax)
-    except ValueError as exc:
-        _fail(str(exc))
-        return 2
-    out.writerow(["k", "m_k"])
-    for k in range(1, args.kmax + 1):
-        out.writerow([k, _fmt(values[k])])
-    return 0
+def _run_moments(args):
+    values = fubm_moments(args.t, args.kmax)
+    return [["k", "m_k"]] + [[k, _fmt(values[k])] for k in range(1, args.kmax + 1)], None
 
 
-def _sampler_config(args):
-    return MatrixSamplerConfig(
+def _sampler_jobs(args, field):
+    """The sampler config and a ``(word, lassos, letters)`` job per corpus loop.
+
+    A loop's lassos and letters are its sampler view under ``field``.  A
+    standard error needs two samples, so ``--samples`` must be at least 2.
+    """
+    words = _read_corpus(args.corpus)
+    cfg = MatrixSamplerConfig(
         N=args.N,
-        samples=args.samples,
+        samples=as_int(args.samples, "sample count must be an integer >= 2", 2),
         seed=args.seed,
         step_count=args.steps,
         workers=args.workers,
     )
+    return cfg, [(word, *_observable(field, Loop(word))) for word in words]
 
 
-def _sampler_jobs(args, source, field):
-    """The sampler config and a ``(word, lassos, letters)`` job per loop.
-
-    A loop's lassos and letters are its sampler view under ``field``.
-    None, after saying why on stderr, if the corpus, config or a loop is bad.
-    """
-    try:
-        words = _read_corpus(source)
-        cfg = _sampler_config(args)
-    except ValueError as exc:
-        _fail(str(exc))
-        return None
-    jobs = []
-    for word in words:
-        try:
-            lassos, letters = _observable(field, Loop(word))
-        except ValueError as exc:
-            _fail(f"cannot use loop {word!r}: {exc}")
-            return None
-        jobs.append((word, lassos, letters))
-    return cfg, jobs
-
-
-def _run_mc(args, out):
-    if _below("power", args.k, 0):
-        return 2
-    loaded = _sampler_jobs(args, args.loops, HolonomyField(t_scale=args.t_scale))
-    if loaded is None:
-        return 2
-    cfg, jobs = loaded
-    rows = []
+def _run_mc(args):
+    field = HolonomyField(t_scale=args.t_scale)
+    as_int(args.k, "power must be >= 0", 0)
+    cfg, jobs = _sampler_jobs(args, field)
+    rows = [["word", "mean_re", "mean_im", "stderr"]]
     for word, lassos, letters in jobs:
         est = estimate_wilson_many(lassos, [tuple(letters) * args.k], cfg)[0]
-        rows.append(
-            [word, _fmt(est.mean.real), _fmt(est.mean.imag), _fmt(est.stderr)]
-        )
-    out.writerow(["word", "mean_re", "mean_im", "stderr"])
-    out.writerows(rows)
-    return 0
+        rows.append([word, _fmt(est.mean.real), _fmt(est.mean.imag), _fmt(est.stderr)])
+    return rows, None
 
 
-def _run_compare_mc(args, out):
-    if _below("kmax", args.kmax, 1):
-        return 2
+def _run_compare_mc(args):
     # the exact evaluations below reuse the shapes the sampler jobs derive
     field = HolonomyField(t_scale=args.t_scale)
-    loaded = _sampler_jobs(args, args.corpus, field)
-    if loaded is None:
-        return 2
-    cfg, loops = loaded
-    powers = list(range(1, args.kmax + 1))
-    first_bad = None
-    rows = []
-    for word, lassos, letters in loops:
-        estimates = estimate_wilson_many(
-            lassos, [tuple(letters) * k for k in powers], cfg
-        )
+    powers = range(1, as_int(args.kmax, "kmax must be >= 1", 1) + 1)
+    cfg, jobs = _sampler_jobs(args, field)
+    failure = None
+    rows = [["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"]]
+    for word, lassos, letters in jobs:
+        estimates = estimate_wilson_many(lassos, [tuple(letters) * k for k in powers], cfg)
         for k, est in zip(powers, estimates):
             exact = evaluate(field, word, k).value
             err = abs(est.mean - exact)
             bound = 3.0 * est.stderr
-            ok = err <= bound
-            if not ok and first_bad is None:
-                first_bad = (word, k, err, bound)
-            rows.append(
-                [
-                    word,
-                    k,
-                    _fmt(exact),
-                    _fmt(est.mean.real),
-                    _fmt(est.mean.imag),
-                    _fmt(est.stderr),
-                    int(ok),
-                ]
-            )
-    out.writerow(["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"])
-    out.writerows(rows)
-    if first_bad is not None:
-        word, k, err, bound = first_bad
-        _fail(
-            f"compare-mc: FAIL at {word} k={k}: |mc - exact| = {err:.3e} "
-            f"exceeds 3*stderr = {bound:.3e}"
-        )
-        return 1
-    return 0
+            if err > bound and failure is None:
+                failure = (
+                    f"compare-mc: FAIL at {word} k={k}: |mc - exact| = {err:.3e} "
+                    f"exceeds 3*stderr = {bound:.3e}"
+                )
+            values = (exact, est.mean.real, est.mean.imag, est.stderr)
+            rows.append([word, k, *map(_fmt, values), int(err <= bound)])
+    return rows, failure
 
 
 def _add_t_scale_flag(p):
     p.add_argument(
-        "--t-scale",
-        dest="t_scale",
-        type=float,
-        default=1.0,
-        help="area-to-time scale factor (positive, finite)",
+        "--t-scale", type=float, default=1.0, help="area-to-time scale factor (positive, finite)"
     )
 
 
@@ -262,13 +183,10 @@ def _add_field_flags(p):
 
 def _add_sampler_flags(p, steps_default):
     p.add_argument("--N", type=int, default=64, help="matrix dimension")
-    p.add_argument("--samples", type=int, default=400, help="Monte Carlo samples")
+    p.add_argument("--samples", type=int, default=400, help="Monte Carlo samples (>= 2)")
     p.add_argument("--seed", type=int, default=7, help="stream seed")
     p.add_argument(
-        "--steps",
-        type=int,
-        default=steps_default,
-        help="integration steps per unit time",
+        "--steps", type=int, default=steps_default, help="integration steps per unit time"
     )
     p.add_argument(
         "--workers",
@@ -286,20 +204,20 @@ def build_parser():
         "invariance sweeps, and a finite-N matrix sampler.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate one loop exactly")
-    p.add_argument("--loop", default=None, help="loop word over N/E/S/W")
-    p.add_argument(
-        "--constant",
-        action="store_true",
-        help="evaluate the constant (empty) loop",
+    # every subcommand takes --out from this parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--out", default="csv", help="CSV file to write, or 'csv' or '-' for stdout"
     )
+
+    p = sub.add_parser("eval", parents=[common], help="evaluate one loop exactly")
+    p.add_argument("--loop", default=None, help="loop word over N/E/S/W")
+    p.add_argument("--constant", action="store_true", help="evaluate the constant (empty) loop")
     p.add_argument("--k", type=int, default=1, help="moment order")
     _add_field_flags(p)
-    p.add_argument("--out", default="csv")
     p.set_defaults(run=_run_eval)
 
-    p = sub.add_parser("check", help="run an invariance sweep")
+    p = sub.add_parser("check", parents=[common], help="run an invariance sweep")
     p.add_argument("kind", choices=sorted(_CHECKS))
     p.add_argument(
         "--corpus",
@@ -307,29 +225,32 @@ def build_parser():
         help="'default' or a file with one loop word per line (# comments)",
     )
     _add_field_flags(p)
-    p.add_argument("--out", default="csv")
     p.set_defaults(run=_run_check)
 
-    p = sub.add_parser("moments", help="free unitary Brownian motion moments")
+    p = sub.add_parser(
+        "moments", parents=[common], help="free unitary Brownian motion moments"
+    )
     p.add_argument("--t", type=float, required=True, help="time parameter")
     p.add_argument("--kmax", type=int, required=True, help="largest moment order")
-    p.add_argument("--out", default="csv")
     p.set_defaults(run=_run_moments)
 
-    p = sub.add_parser("mc", help="estimate Wilson loops with the matrix sampler")
+    p = sub.add_parser(
+        "mc", parents=[common], help="estimate Wilson loops with the matrix sampler"
+    )
     p.add_argument(
         "--loops",
+        dest="corpus",
+        metavar="LOOPS",
         required=True,
         help="'default' or a file with one loop word per line",
     )
     p.add_argument("--k", type=int, default=1, help="moment order")
     _add_t_scale_flag(p)
     _add_sampler_flags(p, steps_default=200)
-    p.add_argument("--out", default="csv")
     p.set_defaults(run=_run_mc)
 
     p = sub.add_parser(
-        "compare-mc", help="exact corpus values vs sampler estimates"
+        "compare-mc", parents=[common], help="exact corpus values vs sampler estimates"
     )
     p.add_argument("--corpus", default="default")
     p.add_argument("--kmax", type=int, default=3, help="compare k = 1..kmax")
@@ -338,29 +259,47 @@ def build_parser():
     # stays a few sigma under the 3*stderr acceptance band while the whole
     # corpus fits in the five-minute budget on one core.
     _add_sampler_flags(p, steps_default=50)
-    p.add_argument("--out", default="csv")
     p.set_defaults(run=_run_compare_mc)
 
     return parser
 
 
+def _open_out(args):
+    """The CSV sink: stdout, or the --out file, created or truncated now.
+
+    Like a shell redirection, --out is opened before the command runs, so a
+    bad path costs no work; a path that is the corpus being read is refused
+    before it is truncated.
+    """
+    if args.out in ("csv", "-"):
+        return contextlib.nullcontext(sys.stdout)
+    corpus = getattr(args, "corpus", "default")
+    if (
+        corpus != "default"
+        and os.path.exists(corpus)
+        and os.path.exists(args.out)
+        and os.path.samefile(corpus, args.out)
+    ):
+        raise ValueError(f"--out {args.out} is the corpus {corpus}; it would be overwritten")
+    try:
+        return open(args.out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    t_scale = getattr(args, "t_scale", 1.0)
-    if not 0 < t_scale < math.inf:
-        _fail(f"t-scale must be positive and finite, got {t_scale}")
-        return 2
-    # Like a shell redirection, --out is opened (created or truncated)
-    # before the command runs, so a bad path costs no work.
-    if args.out in ("csv", "-"):
-        return args.run(args, csv.writer(sys.stdout, lineterminator="\n"))
     try:
-        sink = open(args.out, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        _fail(f"cannot write {args.out}: {exc.strerror or exc}")
+        with _open_out(args) as sink:
+            rows, failure = args.run(args)
+            csv.writer(sink, lineterminator="\n").writerows(rows)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    with sink:
-        return args.run(args, csv.writer(sink, lineterminator="\n"))
+    if failure is None:
+        return 0
+    print(failure, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

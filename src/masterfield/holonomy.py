@@ -107,7 +107,7 @@ class FieldValue:
 def _check_t_scale(t_scale):
     """``t_scale`` as a float: a real number, not a bool, positive and finite."""
     if isinstance(t_scale, bool) or not isinstance(t_scale, Real) or t_scale <= 0:
-        raise ValueError(f"t_scale must be a positive real number, got {t_scale!r}")
+        raise ValueError(f"t_scale must be a positive finite real number, got {t_scale!r}")
     if not isfinite(t_scale):
         raise ValueError(f"t_scale {t_scale!r} is not finite")
     return float(t_scale)

@@ -67,12 +67,6 @@ _TURNS = {
 _LEFT = {"N": (-1, 0), "E": (0, 0), "S": (0, -1), "W": (-1, -1)}
 
 
-def _check_steps(word):
-    bad = sorted(set(word) - set(STEPS))
-    if bad:
-        raise ValueError(f"invalid step(s) {bad}: steps must be one of N, E, S, W")
-
-
 def reduce_word(word):
     """Erase backtracks (adjacent mutually inverse steps) until none remain."""
     out = []
@@ -105,7 +99,11 @@ class Loop:
     __slots__ = ("word",)
 
     def __init__(self, word=""):
-        _check_steps(word)
+        bad = sorted(set(word) - set(STEPS))
+        if bad:
+            raise ValueError(
+                f"invalid step(s) {bad} in word {word!r}: steps must be one of N, E, S, W"
+            )
         word = reduce_word(word)
         x = word.count("E") - word.count("W")
         y = word.count("N") - word.count("S")

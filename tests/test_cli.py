@@ -1,5 +1,6 @@
 """Command-line interface: golden rows, exit codes, corpus files, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -57,6 +58,9 @@ def test_eval_rejects_malformed_words(capsys):
     assert rc == 2 and "not closed" in err
     rc, _, err = run(capsys, ["eval", "--loop", "NESW", "--k", "-2"])
     assert rc == 2 and err == "power must be >= 0, got -2\n"
+    # --constant does not silently drop a --loop given with it
+    rc, out, err = run(capsys, ["eval", "--constant", "--loop", "NE"])
+    assert (rc, out, err) == (2, "", "eval takes --loop or --constant, not both\n")
 
 
 def test_eval_product_selection(capsys):
@@ -179,6 +183,10 @@ def test_mc_rejects_bad_sampler_config(capsys, monkeypatch):
     for command in (["mc", "--loops", "default"], ["compare-mc"]):
         rc, out, err = run(capsys, command + ["--seed", "-1"])
         assert (rc, out, err) == (2, "", "seed must be an integer >= 0, got -1\n")
+        # one sample has a standard error of 0, a band nothing fits in
+        rc, out, err = run(capsys, command + ["--samples", "1"])
+        assert (rc, out, err) == (2, "", "sample count must be an integer >= 2, got 1\n")
+    assert MatrixSamplerConfig(N=2, samples=1).samples == 1
 
 
 def test_compare_mc_small_pass(tmp_path, capsys):
@@ -202,15 +210,17 @@ def test_compare_mc_detects_finite_size_bias(tmp_path, capsys):
     # must fail and say where.
     corpus = tmp_path / "one.txt"
     corpus.write_text("NESW\n")
-    rc, out, err = run(
-        capsys,
-        ["compare-mc", "--corpus", str(corpus), "--N", "2", "--samples", "6400",
-         "--seed", "7", "--steps", "50", "--kmax", "2"],
-    )
+    argv = ["compare-mc", "--corpus", str(corpus), "--N", "2", "--samples", "6400",
+            "--seed", "7", "--steps", "50", "--kmax", "2"]
+    rc, out, err = run(capsys, argv)
     assert rc == 1
     assert "compare-mc: FAIL at NESW k=2" in err
     assert len(err.splitlines()) == 1
     assert out.splitlines()[2].endswith(",0")
+    # a failing run writes the same rows to --out, and the same one line
+    path = tmp_path / "compare.csv"
+    assert run(capsys, argv + ["--out", str(path)]) == (1, "", err)
+    assert path.read_bytes() == out.encode()
 
 
 def test_compare_mc_derives_each_loop_once(tmp_path, monkeypatch):
@@ -294,6 +304,30 @@ def no_work(*args, **kwargs):
     raise AssertionError("the command ran on unusable input")
 
 
+_SUBCOMMANDS = next(
+    a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+)
+# the arguments each subcommand requires
+_REQUIRED = {
+    "eval": [],
+    "check": ["braid"],
+    "moments": ["--t", "1", "--kmax", "1"],
+    "mc": ["--loops", "default"],
+    "compare-mc": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_every_subcommand_takes_out_and_help(capsys, command):
+    # --out comes from one parent parser that serves every subcommand
+    argv = [command, *_REQUIRED[command], "--out", "some/path.csv"]
+    assert cli.build_parser().parse_args(argv).out == "some/path.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert "--out" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command,flag,value", _BAD_TIMES)
 def test_bad_times_and_scales_exit_2(capsys, monkeypatch, command, flag, value):
     monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
@@ -315,6 +349,9 @@ _BAD_PATHS = [
     (["check", "braid", "--corpus", "{empty}"], "holds no loop"),
     (["check", "braid", "--corpus", "{comments}"], "holds no loop"),
     (["mc", "--loops", "{comments}", *_SAMPLER], "holds no loop"),
+    (["check", "braid", "--corpus", "{loops}", "--out", "{loops}"], "is the corpus"),
+    (["mc", "--loops", "{loops}", *_SAMPLER, "--out", "{dir}/./loops.txt"], "is the corpus"),
+    (["compare-mc", *_SAMPLER, "--corpus", "{loops}", "--out", "{loops}"], "is the corpus"),
 ]
 
 
@@ -323,7 +360,9 @@ def test_bad_paths_and_empty_corpora_exit_2(tmp_path, capsys, monkeypatch, argv,
     # One stderr line and exit 2, before any loop is evaluated or sampled.
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "comments.txt").write_text("# no loops here\n\n   # nor here\n")
+    (tmp_path / "loops.txt").write_text("NESW\n")
     paths = {
+        "loops": tmp_path / "loops.txt",
         "missing": tmp_path / "missing.txt",
         "no_dir": tmp_path / "no_such_dir",
         "dir": tmp_path,
@@ -335,6 +374,7 @@ def test_bad_paths_and_empty_corpora_exit_2(tmp_path, capsys, monkeypatch, argv,
     rc, out, err = run(capsys, [a.format(**paths) for a in argv])
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and message in err
+    assert (tmp_path / "loops.txt").read_text() == "NESW\n"
 
 
 def test_overflowing_face_area_exits_2(tmp_path, capsys):
