@@ -16,7 +16,6 @@ from .planar import (
     build_graph,
     lasso_basis,
     decompose,
-    winding,
     braid_act,
 )
 from .levy import (
@@ -47,7 +46,6 @@ __all__ = [
     "build_graph",
     "lasso_basis",
     "decompose",
-    "winding",
     "braid_act",
     "fubm_moment",
     "fubm_moments",

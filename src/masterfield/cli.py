@@ -134,6 +134,7 @@ def _sampler_jobs(args, field):
 def _run_mc(args):
     field = HolonomyField(t_scale=args.t_scale)
     as_int(args.k, "power must be >= 0", 0)
+    as_int(args.k, f"power must be <= {sys.maxsize}", most=sys.maxsize)
     cfg, jobs = _sampler_jobs(args, field)
     rows = [["word", "mean_re", "mean_im", "stderr"]]
     for word, lassos, letters in jobs:
@@ -145,7 +146,8 @@ def _run_mc(args):
 def _run_compare_mc(args):
     # the exact evaluations below reuse the shapes the sampler jobs derive
     field = HolonomyField(t_scale=args.t_scale)
-    powers = range(1, as_int(args.kmax, "kmax must be >= 1", 1) + 1)
+    kmax = as_int(args.kmax, "kmax must be >= 1", 1)
+    powers = range(1, as_int(kmax, f"kmax must be <= {sys.maxsize}", most=sys.maxsize) + 1)
     cfg, jobs = _sampler_jobs(args, field)
     failure = None
     rows = [["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"]]
@@ -176,7 +178,8 @@ def _add_field_flags(p):
         "--field",
         choices=HolonomyField.PRODUCTS,
         default="free",
-        help="product structure combining the face states",
+        help="product structure combining the face states: free is the holonomy "
+        "field; boolean and tensor are negative controls that fail some of its invariances",
     )
     _add_t_scale_flag(p)
 
@@ -269,18 +272,17 @@ def _open_out(args):
 
     Like a shell redirection, --out is opened before the command runs, so a
     bad path costs no work; a path that is the corpus being read is refused
-    before it is truncated.
+    before it is truncated, or, when that corpus does not exist, before it
+    is created, as a corpus that cannot be read.
     """
     if args.out in ("csv", "-"):
         return contextlib.nullcontext(sys.stdout)
     corpus = getattr(args, "corpus", "default")
-    if (
-        corpus != "default"
-        and os.path.exists(corpus)
-        and os.path.exists(args.out)
-        and os.path.samefile(corpus, args.out)
-    ):
-        raise ValueError(f"--out {args.out} is the corpus {corpus}; it would be overwritten")
+    if corpus != "default" and os.path.exists(corpus):
+        if os.path.exists(args.out) and os.path.samefile(corpus, args.out):
+            raise ValueError(f"--out {args.out} is the corpus {corpus}; it would be overwritten")
+    elif corpus != "default" and os.path.realpath(corpus) == os.path.realpath(args.out):
+        _read_corpus(corpus)  # raises: opening --out would create the missing corpus
     try:
         return open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:

@@ -15,11 +15,16 @@ or a sampler job is built.  The product state depends on the loop only
 through its face areas, so the field builds one state per area tuple and
 every loop with those areas shares it and its memos.
 
-The check_* operations verify the field's defining invariances: braid
-moves of the basis, area-preserving rearrangement, infinite divisibility
-under face merges, and gauge conjugation by a free Haar unitary.
+The check_* operations verify a holonomy field's defining invariances:
+braid moves of the basis, area-preserving rearrangement, infinite
+divisibility under face merges, and gauge conjugation by a free Haar
+unitary.  They are properties of the free field.  The boolean and tensor
+fields are negative controls: the boolean field fails the braid sweep and
+infinite divisibility and depends on the spanning tree, and the tensor
+field fails infinite divisibility.
 """
 
+import sys
 from math import isfinite, isnan
 from numbers import Real
 
@@ -67,6 +72,8 @@ DEFAULT_CORPUS = (
 
 # The largest deviation an invariance sweep accepts.
 _TOL = 1e-10
+# No word holds more than sys.maxsize letters, so no larger power is taken.
+_POWER_RULE = f"power must be an integer <= {sys.maxsize}"
 
 
 class HolonomyField:
@@ -157,7 +164,7 @@ def _as_loop(loop):
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
     loop = _as_loop(loop)
-    k = as_int(k, "power must be an integer")
+    k = as_int(k, _POWER_RULE, most=sys.maxsize)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:

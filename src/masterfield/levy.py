@@ -89,7 +89,7 @@ def fubm_moment(t, k):
 
 def fubm_moments(t, kmax):
     """The list ``[m_0(t), ..., m_kmax(t)]``."""
-    if as_int(kmax, "kmax must be an integer") < 1:
+    if as_int(kmax, f"kmax must be an integer <= {sys.maxsize}", most=sys.maxsize) < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     return [1.0] + [fubm_moment(t, k) for k in range(1, kmax + 1)]
 

@@ -304,6 +304,11 @@ def estimate_wilson_many(lassos, words, cfg):
     for area, orient in lassos:
         if not 0 <= area < math.inf:
             raise ValueError(f"face area must be finite and >= 0, got {area}")
+        if not math.isfinite(cfg.step_count * area):
+            raise ValueError(
+                f"face area {area} at {cfg.step_count} steps per unit time "
+                "needs a step count that is not finite"
+            )
         if orient not in (1, -1):
             raise ValueError(f"orientation must be +1 or -1, got {orient}")
         areas.append(area)

@@ -41,8 +41,6 @@ __all__ = [
     "LassoWord",
     "lasso_basis",
     "decompose",
-    "winding",
-    "winding_profile",
     "braid_act",
     "braid_permutation",
     "random_loop",
@@ -477,36 +475,6 @@ def decompose(loop, basis):
     """
     word = loop.word if isinstance(loop, Loop) else reduce_word(loop)
     return _edge_letters(word, basis.tree).substitute(basis.solved, LassoWord())
-
-
-def winding(loop, around):
-    """Exact winding number of a loop around a face's marked cell.
-
-    ``around`` may be a :class:`Face` or a unit cell ``(x, y)`` (lower-left
-    corner); the winding is taken about the cell centre, counted by signed
-    crossings of the eastward ray.
-    """
-    cell = around.cell if isinstance(around, Face) else tuple(around)
-    cx, cy = cell
-    word = loop.word if isinstance(loop, Loop) else loop
-    w = 0
-    x = y = 0
-    for s in word:
-        if s == "N":
-            if y == cy and x >= cx + 1:
-                w += 1
-        elif s == "S":
-            if y - 1 == cy and x >= cx + 1:
-                w -= 1
-        dx, dy = DELTA[s]
-        x += dx
-        y += dy
-    return w
-
-
-def winding_profile(loop, graph):
-    """Winding numbers of a loop around each bounded face, by face id."""
-    return tuple(winding(loop, f) for f in graph.faces)
 
 
 def braid_act(braid, elements):

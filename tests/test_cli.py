@@ -1,11 +1,15 @@
 """Command-line interface: golden rows, exit codes, corpus files, determinism."""
 
 import argparse
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masterfield import (
     DEFAULT_CORPUS,
@@ -395,3 +399,115 @@ def test_moments_where_the_polynomial_overflows(capsys):
     values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
     assert len(values) == 20
     assert all(abs(v) <= 1 for v in values)
+
+
+def test_overflowing_step_count_exits_2(tmp_path, capsys):
+    # area 1 at t-scale 1e308 is a finite time, but 200 steps per unit of it
+    # are not a finite step count
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("NESW\n")
+    rc, out, err = run(
+        capsys, ["mc", "--loops", str(corpus), *_SAMPLER, "--t-scale", "1e308"]
+    )
+    assert (rc, out) == (2, "")
+    assert err == (
+        "face area 1e+308 at 200 steps per unit time needs a step count that is not finite\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--loops", "{new}", *_SAMPLER, "--out", "{new}"],
+        ["check", "braid", "--corpus", "{new}", "--out", "{dir}/./new.csv"],
+        ["compare-mc", *_SAMPLER, "--corpus", "{new}", "--out", "{new}"],
+    ],
+    ids=["mc", "check", "compare-mc"],
+)
+def test_out_naming_a_missing_corpus_creates_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    new = tmp_path / "new.csv"
+    rc, out, err = run(capsys, [a.format(new=new, dir=tmp_path) for a in argv])
+    assert (rc, out, err) == (2, "", f"cannot read corpus {new}: No such file or directory\n")
+    assert not new.exists()
+
+
+_HUGE = "1" + "0" * 29  # above sys.maxsize: no word or list is that long
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval", "--loop", "NESW", "--k", _HUGE], "power must be an integer <= "),
+        (["mc", "--loops", "default", *_SAMPLER, "--k", _HUGE], "power must be <= "),
+        (["moments", "--t", "1", "--kmax", _HUGE], "kmax must be an integer <= "),
+        (["compare-mc", *_SAMPLER, "--kmax", _HUGE], "kmax must be <= "),
+    ],
+    ids=["eval", "mc", "moments", "compare-mc"],
+)
+def test_powers_above_the_index_range_exit_2(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (2, "", f"{message}{sys.maxsize}, got {_HUGE}\n")
+
+
+# A small grammar of argument vectors: for each command, the options always
+# given and those given or left out.  Every finite number in _SMALL is at
+# most 4, so a sampler run drawn from it stays short, and an option drawn
+# twice takes its last value.  The braid sweep reads a two-loop corpus, as
+# on the default corpus it takes a second.
+_VALUES = ["0", "-1", "1", "2", "1.5", "nan", "inf", "1e308", "x", _HUGE]
+_SMALL = [v for v in _VALUES if v not in ("1e308", _HUGE)]
+_CORPORA = ["default", "{pair}", "/nonexistent/loops.txt"]
+_FIELD_OPTIONS = [("--field", ["free", "boolean", "tensor", "x"]), ("--t-scale", _VALUES)]
+_SAMPLER_SIZES = [("--N", ["2", "4"]), ("--samples", ["2", "4"])]
+_SAMPLER_OPTIONS = [("--N", _SMALL), ("--samples", _SMALL), ("--t-scale", _SMALL),
+                    ("--steps", _SMALL), ("--seed", _VALUES), ("--workers", _SMALL)]
+_GRAMMAR = {
+    ("eval",): ([], [("--loop", ["NESW", "NESENWSW", "NE", "NEXW", ""]), ("--constant", None),
+                     ("--k", _VALUES), *_FIELD_OPTIONS]),
+    ("check", "braid"): ([("--corpus", _CORPORA[1:])], _FIELD_OPTIONS),
+    **{("check", kind): ([], [("--corpus", _CORPORA), *_FIELD_OPTIONS])
+       for kind in ("area", "divisibility", "gauge", "x")},
+    ("moments",): ([("--t", _VALUES), ("--kmax", _VALUES)], []),
+    ("mc",): ([("--loops", _CORPORA), *_SAMPLER_SIZES], [("--k", _VALUES), *_SAMPLER_OPTIONS]),
+    ("compare-mc",): (_SAMPLER_SIZES, [("--corpus", _CORPORA), ("--kmax", _VALUES),
+                                       *_SAMPLER_OPTIONS]),
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    always, maybe = _GRAMMAR[command]
+    argv = list(command)
+    for flag, values in always + [option for option in maybe if draw(st.booleans())]:
+        argv += [flag, draw(st.sampled_from(values))] if values else [flag]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def pair_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "pair.txt"
+    path.write_text("NEESWW\nNNESSW\n")
+    return str(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argument_vectors())
+def test_every_argument_vector_exits_0_1_or_2(pair_corpus, argv):
+    # No traceback: any exception but argparse's SystemExit fails the test.
+    argv = [a.format(pair=pair_corpus) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exit_:
+            assert exit_.code == 2 and err.getvalue().startswith("usage: masterfield")
+            return
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1, 2)
+    assert len(lines) == (rc != 0)
+    if rc == 2:
+        assert out.getvalue() == ""

@@ -30,8 +30,8 @@ from masterfield.planar import (
     decompose,
     lasso_basis,
     random_loop,
-    winding_profile,
 )
+from test_planar import north_ray_profile
 
 
 FIELD = HolonomyField()
@@ -111,6 +111,38 @@ def test_conjugation_and_inversion_invariance():
         assert evaluate(FIELD, staircase.inverse(), k).value == pytest.approx(
             evaluate(FIELD, staircase, k).value, abs=1e-12
         )
+
+
+def test_boolean_and_tensor_fields_are_negative_controls():
+    # Only the free field is a holonomy field.  These are the ways the two
+    # controls fail its invariances; a change to either shows up here.
+    free, boolean, tensor = (HolonomyField(product) for product in HolonomyField.PRODUCTS)
+    assert check_braid_invariance(free).ok and check_braid_invariance(tensor).ok
+    assert check_infinite_divisibility(free).ok
+    for check, field, deviation in (
+        (check_braid_invariance, boolean, math.exp(-1)),
+        (check_infinite_divisibility, boolean, math.exp(-1)),
+        (check_infinite_divisibility, tensor, math.exp(-2)),
+    ):
+        report = check(field)
+        assert not report.ok and report.max_deviation == pytest.approx(deviation, abs=1e-12)
+
+    def value(product, word, k, priority="NESW"):
+        return evaluate(HolonomyField(product, tree_priority=priority), word, k).value
+
+    # the boolean value depends on the spanning tree: e^{-3/2} against e^{-5/2}
+    nesw, wsen = (value("boolean", "SENESWSENWNW", 1, p) for p in ("NESW", "WSEN"))
+    assert nesw == pytest.approx(math.exp(-1.5), abs=1e-12)
+    assert wsen == pytest.approx(math.exp(-2.5), abs=1e-12)
+    assert nesw - wsen == pytest.approx(0.141, abs=5e-4)
+    assert value("free", "SENESWSENWNW", 1, "WSEN") == pytest.approx(
+        value("free", "SENESWSENWNW", 1, "NESW"), abs=1e-12
+    )
+    # the tensor value changes when the loop is rotated to start elsewhere
+    assert value("tensor", "NESWNEESWNWS", 2) == pytest.approx(0.0, abs=1e-12)
+    assert value("tensor", "WNEESWNWSNES", 2) == pytest.approx(-math.exp(-2), abs=1e-12)
+    for word in ("NESWNEESWNWS", "WNEESWNWSNES"):
+        assert value("free", word, 2) == pytest.approx(-math.exp(-2), abs=1e-12)
 
 
 def test_spanning_tree_policy_does_not_matter():
@@ -197,7 +229,7 @@ def test_combinatorics_from_the_shape_match_the_graph():
         want = (
             len(graph.faces),
             tuple(sorted(f.area for f in graph.faces)),
-            tuple(sorted(abs(n) for n in winding_profile(loop, graph))),
+            tuple(sorted(abs(n) for n in north_ray_profile(loop, graph))),
         )
         for priority in ("NESW", "WSEN"):
             assert _combinatorics(_lasso_word(loop, priority)) == want, (w, priority)

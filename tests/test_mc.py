@@ -450,6 +450,16 @@ def test_word_validation():
             estimate_wilson_many([(area, 1)], [[(0, 1)]], cfg)
 
 
+def test_areas_whose_step_count_overflows_are_refused():
+    # 1e308 is a finite area, but 50 steps per unit time of it are not: the
+    # walk's step grid would raise OverflowError.
+    cfg = cfg_small(samples=4)
+    for area in (1e308, 4e306):
+        message = f"face area {area} at 50 steps per unit time needs a step count that is not"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_wilson_many([(1.0, 1), (area, 1)], [[(0, 1)]], cfg)
+
+
 def test_classical_gauge_invariance():
     # Conjugating every lasso matrix by one shared unitary fixes all traces:
     # for the scalar observable this invariance is exact per sample.

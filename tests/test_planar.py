@@ -2,21 +2,27 @@
 
 Oracles used here are independent of the implementation under test:
 backtrack erasure in random order, cell flood fill for faces and areas,
-a second ray direction for winding numbers, and Green's theorem tying
-windings to the shoelace area.
+a northward ray for winding numbers, Green's theorem tying windings to the
+shoelace area, and a cut-ray crossing word for a loop's class in the free
+group of the punctured plane.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masterfield import planar
+from masterfield.freeprob import product_state
 from masterfield.holonomy import _lasso_word
+from masterfield.levy import state_at
 from masterfield.planar import (
     DELTA,
     OPPOSITE,
+    LassoWord,
     Loop,
     build_graph,
     braid_act,
@@ -26,8 +32,6 @@ from masterfield.planar import (
     lasso_basis,
     random_loop,
     reduce_word,
-    winding,
-    winding_profile,
 )
 
 CORPUS_WORDS = [
@@ -101,7 +105,7 @@ def flood_regions(graph):
 
 
 def winding_north_ray(word, cell):
-    """Winding via the northward ray (independent of the package's eastward ray)."""
+    """Winding around a unit cell's centre, by signed crossings of the northward ray."""
     cx, cy = cell
     w = 0
     x = y = 0
@@ -116,6 +120,16 @@ def winding_north_ray(word, cell):
     return w
 
 
+def north_ray_profile(loop, graph):
+    """A loop's winding around each bounded face of a drawing, by face id."""
+    return tuple(winding_north_ray(loop.word, f.cell) for f in graph.faces)
+
+
+def exponent_sums(letters, graph):
+    """Each face's exponent sum in a lasso word, by face id."""
+    return tuple(sum(e for fid, e in letters if fid == f.id) for f in graph.faces)
+
+
 def shoelace2(word):
     a2 = 0
     x = y = 0
@@ -125,6 +139,81 @@ def shoelace2(word):
         x += dx
         y += dy
     return a2
+
+
+def crossing_word(word):
+    """A loop's freely reduced crossing word, and the bounded regions by puncture.
+
+    One puncture sits in each bounded region of the drawing, at its lowest,
+    then leftmost, cell, and the plane is cut along a vertical ray going up
+    from each one (rays in one column tilted apart by height, so they do not
+    meet).  An E step at height c over column x crosses the rays of the
+    punctures (x, p) with p < c, lowest first, each as the letter -1; a W
+    step crosses them highest first, each as +1.  The reduced word is the
+    loop's class in the free group of the punctured plane, in a basis of its
+    own: letters are (puncture cell, sign), and a letter's exponent sum is
+    the winding around that puncture.
+    """
+    vertices, edges = {(0, 0)}, set()
+    x = y = 0
+    for s in word:
+        dx, dy = DELTA[s]
+        end = (x + dx, y + dy)
+        edges.add((min((x, y), end), "E" if dy == 0 else "N"))
+        vertices.add(end)
+        x, y = end
+    regions = {}
+    for region in flood_regions(SimpleNamespace(adj=vertices, edges=edges)):
+        regions[min(region, key=lambda c: (c[1], c[0]))] = region
+    heights = {}  # column -> puncture heights, lowest first
+    for px, py in sorted(regions):
+        heights.setdefault(px, []).append(py)
+    out = []
+    x = y = 0
+    for s in word:
+        if s == "E":
+            crossed = [((x, p), -1) for p in heights.get(x, ()) if p < y]
+        elif s == "W":
+            crossed = [((x - 1, p), 1) for p in reversed(heights.get(x - 1, ())) if p < y]
+        else:
+            crossed = []
+        for letter, sign in crossed:
+            if out and out[-1] == (letter, -sign):
+                out.pop()
+            else:
+                out.append((letter, sign))
+        dx, dy = DELTA[s]
+        x, y = x + dx, y + dy
+    return tuple(out), regions
+
+
+def crossing_mismatch(loop, priority="NESW", kmax=4):
+    """Where the loop's lasso word and its crossing word disagree, or None.
+
+    They must have the same face areas, the same winding around each face,
+    and the same free and tensor moments up to ``kmax``, with each face's
+    state at its area.  Boolean moments are not compared: the boolean
+    product is not conjugation invariant, so a change of basis moves them.
+    """
+    letters, areas = _lasso_word(loop, priority)
+    crossing, regions = crossing_word(loop.word)
+    region_areas = sorted(map(len, regions.values()))
+    if region_areas != sorted(areas):
+        return f"face areas {sorted(areas)} vs region areas {region_areas}"
+    # the lasso slot of each puncture: the face whose marked cell is in its region
+    graph = build_graph([loop])
+    slot = {c: f.id for f in graph.faces for c, r in regions.items() if f.cell in r}
+    relabeled = tuple((slot[c], sign) for c, sign in crossing)
+    windings = exponent_sums(letters, graph), exponent_sums(relabeled, graph)
+    if windings[0] != windings[1]:
+        return f"windings {windings[0]} vs {windings[1]}"
+    for product in ("free", "tensor"):
+        state = product_state([state_at(a) for a in areas], product)
+        for k in range(1, kmax + 1):
+            want, got = state.moment(letters * k), state.moment(relabeled * k)
+            if abs(want - got) > 1e-12:
+                return f"{product} k={k}: lasso word {want!r} vs crossing word {got!r}"
+    return None
 
 
 def test_reduce_matches_random_order_erasure():
@@ -191,10 +280,10 @@ def test_winding_against_north_ray_and_greens_theorem():
     for w in words:
         lp = Loop(w)
         g = build_graph(lp)
-        for f in g.faces:
-            assert winding(lp, f) == winding_north_ray(lp.word, f.cell)
+        windings = exponent_sums(decompose(lp, lasso_basis(g)).letters, g)
+        assert windings == north_ray_profile(lp, g)
         # sum of winding * area over faces = signed area of the loop
-        total = sum(winding(lp, f) * f.area for f in g.faces)
+        total = sum(n * f.area for n, f in zip(windings, g.faces))
         assert 2 * total == shoelace2(lp.word)
 
 
@@ -207,7 +296,7 @@ def test_lasso_words_are_reduced_with_unit_winding():
         for l in basis.lassos:
             raw = l.tail + l.bulk + invert_word(l.tail)
             assert reduce_word(raw) == raw
-            prof = winding_profile(l.loop(), g)
+            prof = north_ray_profile(l.loop(), g)
             assert prof == tuple(1 if f.id == l.face.id else 0 for f in g.faces)
 
 
@@ -223,8 +312,7 @@ def test_decompose_roundtrip_corpus():
         basis = lasso_basis(build_graph(lp))
         w, back = _roundtrip(lp, basis)
         assert back == lp
-        for f in basis.graph.faces:
-            assert sum(e for fid, e in w.letters if fid == f.id) == winding(lp, f)
+        assert exponent_sums(w.letters, basis.graph) == north_ray_profile(lp, basis.graph)
 
 
 def test_decompose_roundtrip_random_200():
@@ -238,8 +326,7 @@ def test_decompose_roundtrip_random_200():
         for lp in loops:
             w, back = _roundtrip(lp, basis)
             assert back == lp
-            for f in g.faces:
-                assert sum(e for fid, e in w.letters if fid == f.id) == winding(lp, f)
+            assert exponent_sums(w.letters, g) == north_ray_profile(lp, g)
 
 
 def test_decompose_with_alternate_tree_priority():
@@ -264,8 +351,34 @@ def test_decompose_roundtrip_and_windings_on_random_drawings(seed, count):
         for lp in loops:
             w, back = _roundtrip(lp, basis)
             assert back == lp
-            for f in g.faces:
-                assert sum(e for fid, e in w.letters if fid == f.id) == winding(lp, f)
+            assert exponent_sums(w.letters, g) == north_ray_profile(lp, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), priority=st.sampled_from(["NESW", "WSEN"]))
+def test_lasso_words_match_the_crossing_word(seed, priority):
+    loop = random_loop(np.random.default_rng(seed), 40)
+    assert crossing_mismatch(loop, priority) is None
+
+
+def test_crossing_word_catches_an_inverted_solved_letter(monkeypatch):
+    # A basis whose first solved edge has its first letter inverted: the
+    # crossing word must see the broken lasso words.
+    solve_edges = planar._solve_edges
+
+    def inverted(lassos, tree):
+        solved = solve_edges(lassos, tree)
+        if solved:
+            edge = next(iter(solved))
+            (fid, sign), *rest = solved[edge].letters
+            solved[edge] = LassoWord([(fid, -sign), *rest])
+        return solved
+
+    rng = np.random.default_rng(2026)
+    loops = [Loop("NESW"), Loop("NESENWSW")] + [random_loop(rng, 24) for _ in range(50)]
+    assert all(crossing_mismatch(lp) is None for lp in loops)
+    monkeypatch.setattr(planar, "_solve_edges", inverted)
+    assert all(crossing_mismatch(lp) is not None for lp in loops)
 
 
 def test_decompose_rejects_loop_off_graph():
@@ -310,7 +423,7 @@ def test_braid_permutation_tracks_conjugacy_classes():
         for j in range(4):
             # out[j] is a conjugate of base[src[j]]: same abelianised image
             g = build_graph(list(base) + list(out))
-            assert winding_profile(out[j], g) == winding_profile(base[src[j]], g)
+            assert north_ray_profile(out[j], g) == north_ray_profile(base[src[j]], g)
 
 
 def test_braid_out_of_range():
