@@ -138,7 +138,11 @@ def _run_mc(args):
     cfg, jobs = _sampler_jobs(args, field)
     rows = [["word", "mean_re", "mean_im", "stderr"]]
     for word, lassos, letters in jobs:
-        est = estimate_wilson_many(lassos, [tuple(letters) * args.k], cfg)[0]
+        try:
+            repeated = tuple(letters) * args.k
+        except MemoryError:
+            raise ValueError(f"power {args.k} makes a word too long to hold in memory") from None
+        est = estimate_wilson_many(lassos, [repeated], cfg)[0]
         rows.append([word, _fmt(est.mean.real), _fmt(est.mean.imag), _fmt(est.stderr)])
     return rows, None
 

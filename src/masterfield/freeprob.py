@@ -22,16 +22,17 @@ the chains, each carrying the running product of its gap moments, so a
 chain costs one multiplication more than its parent and a zero gap prunes
 all its extensions.  A state gives the walk two things: a key for a word
 (:meth:`State._key`), on which its cumulants depend and by which they are
-memoised, and the gap rows of a tuple of keys (:meth:`State._rows`).  A
-general state keys a word by itself and reads the moments of concatenated
-words; :func:`cumulants_from_moments` is the walk on a state built from a
-moment table.  A marginal of one unitary (the face states of
-:mod:`masterfield.levy` and the Haar unitary) keys a word by its net power:
-it holds one table indexed by |net power|, filled as far as a call needs,
-and its rows are prefix sums into that table.  The free product's rows are
-its gap moments, memoised on the product state by the gap's block content,
-so a subword that recurs at other positions of a periodic word, or at
-another power of the same loop, is computed once.
+memoised, and a gap function of a tuple of keys (:meth:`State._gaps`), the
+moment of the words strictly between two positions, from which the walk
+alone builds its rows.  A general state keys a word by itself and takes
+the moment of the concatenated words; :func:`cumulants_from_moments` is
+the walk on a state built from a moment table.  A marginal of one unitary
+(the face states of :mod:`masterfield.levy` and the Haar unitary) keys a
+word by its net power and reads its gaps by prefix sums into one table
+indexed by |net power|, filled as far as a call needs.  The free
+product's gaps are its subword moments, memoised on the product state by
+the subword's blocks, so a subword that recurs at other positions of a
+periodic word, or at another power of the same loop, is computed once.
 
 The moment-cumulant transform :func:`moments_from_cumulants` sums over the
 noncrossing partitions of :func:`enumerate_nc`.
@@ -142,47 +143,45 @@ class State:
         """The free cumulant of the words with these keys (memoised)."""
         val = self._cumulants.get(keys)
         if val is None:
-            whole, rows = self._rows(keys)
-            val = self._cumulants[keys] = _first_block(self, keys, rows, whole, solve=True)
+            between = self._gaps(keys)
+            whole = between(-1, len(keys))
+            val = self._cumulants[keys] = _first_block(self, keys, between, whole, solve=True)
         return val
 
     def _key(self, word):
         """What the cumulants of a word depend on: here the word itself."""
         return tuple(word)
 
-    def _rows(self, words):
-        """The moment of the concatenated words, and their gap rows."""
-        moment = self.moment
-        rows = []
-        for v in range(len(words)):
-            gaps, between = [], ()
-            for w in range(v + 1, len(words)):
-                g = moment(between)
-                if g:
-                    gaps.append((w, g))
-                between += words[w]
-            rows.append((moment(between), gaps))
-        return moment(sum(words, ())), rows
+    def _gaps(self, words):
+        """``between(v, w)``: the moment of the words strictly between positions
+        v and w, with -1 for the start and ``len(words)`` for the end."""
+        return lambda v, w: self.moment(sum(words[v + 1 : w], ()))
 
     def __repr__(self):
         return f"State({self.name})"
 
 
-def _first_block(state, keys, rows, val, solve=False):
+def _first_block(state, keys, between, val, solve=False):
     """Add to ``val`` the first-block terms of ``state`` over ``keys``.
 
     A term is a chain ``0 = v0 < v1 < ... < vr`` of positions in ``keys``:
     the state's cumulant of the chain's keys, times the gap moments between
-    consecutive members, times the tail moment after ``vr``.  ``rows[v]``
-    holds that tail and the pairs ``(w, gap)`` from position v to each
-    later position w with a nonzero gap.  The chains are walked depth first,
-    each carrying the product of its gaps, and a zero tail skips a term.
-    With ``solve``, ``val`` is the moment of all the keys, the chain of
-    every position is left out and the terms are subtracted: the result is
-    the cumulant of all the keys.
+    consecutive members, times the tail moment after ``vr``.  Both come from
+    ``between(v, w)``, the moment strictly between positions v and w, the
+    tail with ``w = len(keys)``.  Each position's row, its tail and an entry
+    ``(w, (keys[w],), gap)`` per nonzero gap, is built once, up front.  The
+    chains are walked depth first, each carrying the product of its gaps,
+    and a zero tail skips a term.  With ``solve``, ``val`` is the moment of
+    all the keys, the chain of every position is left out and the terms are
+    subtracted: the result is the cumulant of all the keys.
     """
+    n = len(keys)
+    rows = [
+        (between(v, n), [(w, (keys[w],), g) for w in range(v + 1, n) if (g := between(v, w))])
+        for v in range(n)
+    ]
     memo = state._cumulants
-    full = len(keys) if solve else -1
+    full = n if solve else -1
     stack = [(0, (keys[0],), 1)]
     pop, push = stack.pop, stack.append
     while stack:
@@ -194,8 +193,8 @@ def _first_block(state, keys, rows, val, solve=False):
                 kap = state._cumulant(chain)
             term = kap * prod * tail
             val = val - term if solve else val + term
-        for w, g in gaps:
-            push((w, chain + (keys[w],), prod * g))
+        for w, key, g in gaps:
+            push((w, chain + key, prod * g))
     return val
 
 
@@ -218,19 +217,12 @@ class _UnitaryState(State):
         """What the cumulants of a word depend on: here its net power."""
         return sum(word)
 
-    def _rows(self, nets):
-        """The net powers' gap rows, by prefix sums into the |net| table."""
-        prefix = list(accumulate(nets))
-        total = prefix[-1]
-        table = self._table_to(max(max(prefix) - min(prefix), abs(total)))
-        rows = [
-            (table[abs(total - start)], [
-                (w, g) for w in range(v + 1, len(nets))
-                if (g := table[abs(prefix[w - 1] - start)])
-            ])
-            for v, start in enumerate(prefix)
-        ]
-        return table[abs(total)], rows
+    def _gaps(self, nets):
+        """``between(v, w)`` by prefix sums into the |net power| table."""
+        prefix = [0, *accumulate(nets)]
+        # v = -1 is read only with the end, so prefix[0] bounds no other gap
+        table = self._table_to(max(max(prefix[1:]) - min(prefix[1:]), abs(prefix[-1])))
+        return lambda v, w: table[abs(prefix[w] - prefix[v + 1])]
 
     def _table_to(self, n):
         """The moment table by |net power|, filled up to ``n`` if need be."""
@@ -345,15 +337,11 @@ class ProductState(State):
             if val is None:
                 state = self.factors[blocks[i][0]]
                 members = [q for q in range(i, j) if blocks[q][0] == blocks[i][0]]
-                rows = [
-                    (seg(q + 1, j), [
-                        (b, g) for b in range(a + 1, len(members))
-                        if (g := seg(q + 1, members[b]))
-                    ])
-                    for a, q in enumerate(members)
-                ]
+                ends = members + [j]
                 keys = tuple(state._key(blocks[q][1]) for q in members)
-                val = memo[key] = _first_block(state, keys, rows, 0)
+                val = memo[key] = _first_block(
+                    state, keys, lambda a, b: seg(members[a] + 1, ends[b]), 0
+                )
             return val
 
         return seg(0, len(blocks))

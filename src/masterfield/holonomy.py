@@ -170,7 +170,12 @@ def evaluate(field, loop, k=1):
     if len(loop.word) == 0 or k == 0:
         return FieldValue(loop, k, 1.0, "exact")
     letters, areas = _context(field, loop)
-    return FieldValue(loop, k, _state(field, loop, areas).moment(letters * k), "exact")
+    state = _state(field, loop, areas)
+    try:
+        word = letters * k
+    except MemoryError:
+        raise ValueError(f"power {k} makes a word too long to hold in memory") from None
+    return FieldValue(loop, k, state.moment(word), "exact")
 
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):

@@ -452,6 +452,24 @@ def test_powers_above_the_index_range_exit_2(capsys, monkeypatch, argv, message)
     assert (rc, out, err) == (2, "", f"{message}{sys.maxsize}, got {_HUGE}\n")
 
 
+# Only sys.maxsize itself: its repeated word overflows at once, while a
+# power of 10**8 or so may well be allocated and fill the memory.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--loop", "NESENWSW", "--k", str(sys.maxsize)],
+        ["mc", "--loops", "default", *_SAMPLER, "--k", str(sys.maxsize)],
+    ],
+    ids=["eval", "mc"],
+)
+def test_a_power_too_large_for_memory_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
+    rc, out, err = run(capsys, argv)
+    assert (rc, out, err) == (
+        2, "", f"power {sys.maxsize} makes a word too long to hold in memory\n"
+    )
+
+
 # A small grammar of argument vectors: for each command, the options always
 # given and those given or left out.  Every finite number in _SMALL is at
 # most 4, so a sampler run drawn from it stays short, and an option drawn

@@ -285,6 +285,17 @@ def test_values_stay_in_the_unit_disk_on_random_loops(product, seed):
         assert abs(evaluate(field, word, k).value) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("product", HolonomyField.PRODUCTS)
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_the_inverse_loop_takes_the_conjugate_value(product, seed):
+    loop = random_loop(np.random.default_rng(seed), 30)
+    field = HolonomyField(product=product)
+    for k in range(1, 4):
+        forward = evaluate(field, loop, k).value
+        assert abs(evaluate(field, loop.inverse(), k).value - forward.conjugate()) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "scaled_area",
     [

@@ -3,12 +3,13 @@ import math
 import os
 import pickle
 import re
+import time
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from masterfield import DEFAULT_CORPUS, _kernels, loop_observable, mc
+from masterfield import DEFAULT_CORPUS, HolonomyField, _kernels, evaluate, loop_observable, mc
 from masterfield.freeprob import State, product_state
 from masterfield.levy import fubm_moment, state_at
 from masterfield.mc import MatrixSamplerConfig, WilsonEstimate, estimate_wilson_many
@@ -524,6 +525,43 @@ def test_block_moments_drift_toward_reference():
     assert ref == 0.0
     errs = [abs(block_moment(N, 6000, seed=900 + N) - ref) for N in (4, 6, 8)]
     assert errs[0] > errs[1] > errs[2]
+
+
+# Loops whose lasso word keeps at least two faces under this rule:
+# cyclically reduce, drop every letter whose face occurs once, and repeat
+# until nothing changes.  On such a word the product of the face states
+# matters, where every corpus loop has the law of one Brownian motion.
+# The first is irreducible as it stands; the other two are the first two
+# random_loop(np.random.default_rng(22), 24) draws the rule keeps (draws
+# 6955 and 7166), with cores b^-1 c b^-1 c^-1 and a^-1 b^-1 a^-1 b.
+IRREDUCIBLE_LOOPS = ("NWWSESWNNESSWSWNWNEEEE", "SSWNENWSESWNWNEE", "NESWNNESSWNENWSS")
+
+
+@pytest.mark.slow
+def test_sampler_reproduces_the_free_field_on_irreducible_cores():
+    t0 = time.perf_counter()
+    cfg = MatrixSamplerConfig(N=32, samples=400, seed=22, step_count=50)
+    fields = {product: HolonomyField(product) for product in HolonomyField.PRODUCTS}
+    worst, misses, controls = (0.0, ""), [], {}
+    for word in IRREDUCIBLE_LOOPS:
+        lassos, letters = loop_observable(word)
+        estimates = estimate_wilson_many(lassos, [tuple(letters) * k for k in (1, 2, 3)], cfg)
+        for k, est in enumerate(estimates, 1):
+            sigma = abs(est.mean - evaluate(fields["free"], word, k).value) / est.stderr
+            worst = max(worst, (sigma, f"{word} k={k}"))
+            if sigma > 3.0:
+                misses.append(f"{word} k={k}: {sigma:.2f} sigma")
+            if word == IRREDUCIBLE_LOOPS[0] and k == 1:
+                for product in ("boolean", "tensor"):
+                    value = evaluate(fields[product], word, k).value
+                    controls[product] = abs(est.mean - value) / est.stderr
+    elapsed = time.perf_counter() - t0
+    print(f"9/9 within 3*stderr (N=32, 400 samples, seed 22), worst {worst[0]:.2f} sigma "
+          f"at {worst[1]}; controls at k=1: boolean {controls['boolean']:.1f} sigma, "
+          f"tensor {controls['tensor']:.1f} sigma, {elapsed:.0f}s")
+    assert not misses, misses
+    assert min(controls.values()) > 5.0, controls
+    assert elapsed < 30.0
 
 
 def test_wilson_estimate_fields():
