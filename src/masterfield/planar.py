@@ -25,6 +25,8 @@ from collections import deque
 
 import numpy as np
 
+from ._ints import as_int
+
 __all__ = [
     "STEPS",
     "DELTA",
@@ -515,18 +517,38 @@ def braid_permutation(braid, n):
 def random_loop(rng, max_len=24):
     """A uniform-ish random nontrivial reduced loop of length <= max_len (>= 4).
 
-    Draws random step words of random even length and keeps the first whose
-    reduction is a nontrivial closed loop; used by tests and the CLI demo
-    corpus generator.
+    Each try draws an even length ``2 * rng.integers(2, max_len // 2 + 1)``
+    and then that many steps ``rng.integers(0, 4, size=n)``; the first try
+    whose steps balance and reduce to a nontrivial word is the loop.  The
+    tries are read from one chunk of the generator's 32-bit words, replaying
+    numpy's bounded draw (Lemire's multiply-shift with rejection), and the
+    generator is then moved past exactly the words used: the loop and the
+    generator's end state are those of the two ``integers`` calls a try.
     """
-    if max_len < 4:
-        raise ValueError(f"max_len must be >= 4, got {max_len!r}")
+    max_len = as_int(max_len, "max_len must be >= 4", least=4)
+    span = max_len // 2 - 1  # the number of lengths
+    skip = (1 << 32) % span  # numpy redraws a length word whose low product falls below this
+    state = rng.bit_generator.state
+    drawn = np.empty(0, np.uint32)
+    pos = 0
     while True:
-        n = 2 * int(rng.integers(2, max_len // 2 + 1))
-        draws = rng.integers(0, 4, size=n)
-        north, east, south, west = np.bincount(draws, minlength=4)
-        if north != south or east != west:
+        if pos + max_len >= len(drawn):  # a try reads at most 1 + max_len words
+            more = rng.integers(0, 1 << 32, size=16 * max_len, dtype=np.uint32)
+            drawn = np.concatenate([drawn, more])
+            words, tops = memoryview(drawn), (drawn >> 30).astype(np.uint8).tobytes()
+        n = 4
+        if span > 1:
+            m = words[pos] * span
+            pos += 1
+            if m & 0xFFFFFFFF < skip:
+                continue
+            n = 2 * ((m >> 32) + 2)
+        steps = tops[pos : pos + n]
+        pos += n
+        if steps.count(0) != steps.count(2) or steps.count(1) != steps.count(3):
             continue
-        red = reduce_word(draws.astype(np.uint8).tobytes().translate(_STEP_BYTES).decode())
+        red = reduce_word(steps.translate(_STEP_BYTES).decode())
         if red:
+            rng.bit_generator.state = state
+            rng.integers(0, 1 << 32, size=pos, dtype=np.uint32)
             return Loop(red)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -294,6 +295,44 @@ def test_the_inverse_loop_takes_the_conjugate_value(product, seed):
     for k in range(1, 4):
         forward = evaluate(field, loop, k).value
         assert abs(evaluate(field, loop.inverse(), k).value - forward.conjugate()) <= 1e-12
+
+
+def irreducible_core(letters):
+    """Cyclically reduce a lasso word, drop every letter whose face occurs
+    once, and repeat until nothing changes."""
+    letters = list(letters)
+    while True:
+        out = []
+        for face, sign in letters:
+            if out and out[-1] == (face, -sign):
+                out.pop()
+            else:
+                out.append((face, sign))
+        while len(out) > 1 and out[0] == (out[-1][0], -out[-1][1]):
+            out = out[1:-1]
+        faces = Counter(face for face, _ in out)
+        core = [letter for letter in out if faces[letter[0]] > 1]
+        if core == letters:
+            return core
+        letters = core
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_free_field_invariances_on_irreducible_cores(seed):
+    # The first random loop from the seed whose core keeps two faces or
+    # more, where the free product's first-block walk has work to do.
+    rng = np.random.default_rng(seed)
+    while True:
+        loop = random_loop(rng, 60)
+        if len({face for face, _ in irreducible_core(_lasso_word(loop, "NESW")[0])}) >= 2:
+            break
+    nesw = HolonomyField("free", tree_priority="NESW")
+    wsen = HolonomyField("free", tree_priority="WSEN")
+    for k in (1, 2):
+        value = evaluate(nesw, loop, k).value
+        assert abs(evaluate(wsen, loop, k).value - value) <= 1e-12
+        assert abs(evaluate(nesw, loop.inverse(), k).value - value.conjugate()) <= 1e-12
 
 
 @pytest.mark.parametrize(

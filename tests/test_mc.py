@@ -11,8 +11,11 @@ from scipy.linalg import expm
 
 from masterfield import DEFAULT_CORPUS, HolonomyField, _kernels, evaluate, loop_observable, mc
 from masterfield.freeprob import State, product_state
+from masterfield.holonomy import _lasso_word
 from masterfield.levy import fubm_moment, state_at
 from masterfield.mc import MatrixSamplerConfig, WilsonEstimate, estimate_wilson_many
+from masterfield.planar import Loop, random_loop
+from test_holonomy import irreducible_core
 
 
 def cfg_small(**kw):
@@ -535,6 +538,15 @@ def test_block_moments_drift_toward_reference():
 # random_loop(np.random.default_rng(22), 24) draws the rule keeps (draws
 # 6955 and 7166), with cores b^-1 c b^-1 c^-1 and a^-1 b^-1 a^-1 b.
 IRREDUCIBLE_LOOPS = ("NWWSESWNNESSWSWNWNEEEE", "SSWNENWSESWNWNEE", "NESWNNESSWNENWSS")
+
+
+def test_irreducible_loops_are_the_seeded_draws_the_core_rule_keeps():
+    rng = np.random.default_rng(22)
+    draws = [random_loop(rng, 24).word for _ in range(7167)]
+    assert (draws[6955], draws[7166]) == IRREDUCIBLE_LOOPS[1:]
+    for word in IRREDUCIBLE_LOOPS[1:]:
+        core = irreducible_core(_lasso_word(Loop(word), "NESW")[0])
+        assert len({face for face, _ in core}) == 2
 
 
 @pytest.mark.slow

@@ -3,8 +3,9 @@
 Oracles used here are independent of the implementation under test:
 backtrack erasure in random order, cell flood fill for faces and areas,
 a northward ray for winding numbers, Green's theorem tying windings to the
-shoelace area, and a cut-ray crossing word for a loop's class in the free
-group of the punctured plane.
+shoelace area, a cut-ray crossing word for a loop's class in the free
+group of the punctured plane, and for ``random_loop`` the loop it replays,
+with one ``integers`` call for the length and one for the steps a try.
 """
 
 import hashlib
@@ -476,7 +477,7 @@ def test_faces_golden_digest():
 
 def test_random_loop_refuses_lengths_below_four():
     rng = np.random.default_rng(0)
-    for max_len in (3, 2, 0, -4):
+    for max_len in (3, 2, 0, -4, 24.5, "24"):
         with pytest.raises(ValueError, match="max_len must be >= 4"):
             random_loop(rng, max_len=max_len)
     assert len(random_loop(rng, max_len=4)) == 4
@@ -489,3 +490,59 @@ def test_random_loop_golden_digest():
         for _ in range(500):
             h.update(random_loop(rng).word.encode() + b"\n")
     assert h.hexdigest() == GOLDEN_RANDOM_LOOPS
+
+
+def reference_random_loop(rng, max_len=24):
+    """``random_loop`` as two ``integers`` calls a try: one for the length,
+    one for the steps (the oracle for its chunked replay)."""
+    if max_len < 4:
+        raise ValueError(f"max_len must be >= 4, got {max_len!r}")
+    while True:
+        n = 2 * int(rng.integers(2, max_len // 2 + 1))
+        draws = rng.integers(0, 4, size=n)
+        north, east, south, west = np.bincount(draws, minlength=4)
+        if north != south or east != west:
+            continue
+        red = reduce_word(draws.astype(np.uint8).tobytes().translate(planar._STEP_BYTES).decode())
+        if red:
+            return Loop(red)
+
+
+def assert_same_draws(make, max_len, count):
+    """``random_loop`` and the reference give the same loops from one state,
+    and leave their generators where the next draw agrees."""
+    ours, ref = make(), make()
+    for _ in range(count):
+        assert random_loop(ours, max_len) == reference_random_loop(ref, max_len)
+    assert ours.integers(0, 2**63) == ref.integers(0, 2**63)
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_len=st.integers(4, 80),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
+)
+def test_random_loop_matches_two_integers_calls_a_try(seed, max_len, bit_generator):
+    assert_same_draws(lambda: np.random.Generator(bit_generator(seed)), max_len, 20)
+
+
+# The first 32-bit word of PCG64(0) advanced by 32057262 outputs times 52 is
+# 24 mod 2**32, below 2**32 mod 52 = 48, so numpy redraws that length word at
+# max_len 106 (52 lengths).
+REDRAW_SEED, REDRAW_ADVANCE, REDRAW_MAX_LEN = 0, 32057262, 106
+
+
+def test_random_loop_redraws_a_length_word_as_numpy_does():
+    def make():
+        bit_generator = np.random.PCG64(REDRAW_SEED)
+        bit_generator.advance(REDRAW_ADVANCE)
+        return np.random.Generator(bit_generator)
+
+    span = REDRAW_MAX_LEN // 2 - 1
+    word = int(make().integers(0, 2**32, dtype=np.uint32))
+    assert word * span % 2**32 < 2**32 % span
+    assert_same_draws(make, REDRAW_MAX_LEN, 3)
