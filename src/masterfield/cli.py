@@ -199,8 +199,8 @@ def _add_sampler_flags(p, steps_default):
         "--workers",
         type=int,
         default=None,
-        help="evolution threads (default: one per usable CPU when "
-        "samples * N^3 >= 2^15, else 1)",
+        help="evolution threads, at most one per chunk of samples (default: one "
+        "per usable CPU when samples * N^3 >= 2^15, else 1)",
     )
 
 
@@ -275,18 +275,17 @@ def _open_out(args):
     """The CSV sink: stdout, or the --out file, created or truncated now.
 
     Like a shell redirection, --out is opened before the command runs, so a
-    bad path costs no work; a path that is the corpus being read is refused
-    before it is truncated, or, when that corpus does not exist, before it
-    is created, as a corpus that cannot be read.
+    bad path costs no work.  A named corpus is read first, so one that
+    cannot be read or holds no loop, or that --out names, leaves --out as
+    it was.
     """
     if args.out in ("csv", "-"):
         return contextlib.nullcontext(sys.stdout)
     corpus = getattr(args, "corpus", "default")
-    if corpus != "default" and os.path.exists(corpus):
+    if corpus != "default":
+        _read_corpus(corpus)
         if os.path.exists(args.out) and os.path.samefile(corpus, args.out):
             raise ValueError(f"--out {args.out} is the corpus {corpus}; it would be overwritten")
-    elif corpus != "default" and os.path.realpath(corpus) == os.path.realpath(args.out):
-        _read_corpus(corpus)  # raises: opening --out would create the missing corpus
     try:
         return open(args.out, "w", encoding="utf-8", newline="")
     except OSError as exc:

@@ -22,9 +22,55 @@ most demanding call needs: about two per unit of that call's total lasso
 area plus two per lasso, each one samples x N x N complex entries
 (26 MB at N=64, 400 samples) plus one generator state per sample; they
 are freed with the config.
+
+The Cayley step
+---------------
+One step advances U by the Cayley retraction of an antihermitian Gaussian
+increment,
+
+    U  <-  (I - B/2)^{-1} (I + B/2) U,      B = A - A^3/12,  A = i dH,
+
+which is exactly unitary (B is antihermitian) and realizes the group
+Brownian motion with entry variance t/N and normalized-trace drift
+e^{-t/2}.  The cubic compensation makes the retraction agree with the
+exact exponential exp(A) to fifth order; without it the plain Cayley map
+exp(A + A^3/12 + ...) carries a weak drift error linear in the step size,
+measurable against the Monte Carlo resolution at coarse step counts.
+
+The increment is built from one real (N, N) block X of standard normals,
+
+    A = sqrt(dt/N) ((-1+i)/2 X + (1+i)/2 X^T),
+
+so Re A = sqrt(dt/N) (X^T - X)/2 and Im A = sqrt(dt/N) (X + X^T)/2.  The
+sum and the difference of two independent normals are independent, so
+the diagonal is i N(0, dt/N) and the off-diagonal real and imaginary parts
+are independent N(0, dt/2N): the GUE law from N^2 normals, the Hermitian
+part's degrees of freedom, and A is antihermitian bit for bit.
+
+Since (I - B/2)^{-1} (I + B/2) = 2 (I - B/2)^{-1} - I, the step is computed
+with C = A/4 as
+
+    U  <-  solve(M/2, U) - U,      M/2 = I/2 - C + (4/3) C^3,
+
+which costs two matmuls (for C^3) and one solve per sample-step, with no
+B U product.
+
+The walk is batched across samples: every step takes one increment per
+sample from that sample's own stream and advances all samples at once,
+so a sample's values do not depend on the samples batched with it.  The
+increments are drawn a block of steps at a time, one ``standard_normal``
+call per sample and block, which on one stream gives bit for bit the draws,
+and the generator state, of one call per step.  The last block ends at the
+call's last step, so no stream is read past the piece the call walks.  A
+block is as many steps as fit in ``_NOISE_FLOATS`` float64s (512 KB), and
+at least one.  The batch is one chunk of the samples (``_chunks``), which
+walks all of a call's steps on one thread, and the chunk is small enough
+for ``_BLOCK_STEPS``: a block is 40 steps at N=4 with 100 samples, and 16
+at N=64 for a one-sample chunk, at any sample count.
 """
 
 import math
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -32,16 +78,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._ints import as_int
-from ._kernels import evolve_unitaries, step_grid
 
-__all__ = [
-    "MatrixSamplerConfig",
-    "WilsonEstimate",
-    "estimate_wilson_many",
-]
+__all__ = ["MatrixSamplerConfig", "WilsonEstimate", "estimate_wilson_many"]
 
 _UNITARITY_TOL = 1e-8
 
+_NOISE_FLOATS = 1 << 16
+
+# A chunk is small enough that a noise block holds this many steps.
+_BLOCK_STEPS = 16
 
 # A batch splits across the usable CPUs by default once samples * N**3
 # reaches this; below it, thread dispatch costs more than the split saves.
@@ -63,10 +108,11 @@ class MatrixSamplerConfig:
 
     ``step_count`` is the number of SDE steps per unit of time; at least
     50 per unit time are required for the retraction error to stay well
-    under the statistical resolution.  ``workers`` threads split the
-    samples; by default one per usable CPU when samples * N**3 >= _SPLIT_WORK
-    and one otherwise.  N, samples, seed, step_count and workers must be
-    integers (numpy integers too, bools not).
+    under the statistical resolution.  Up to ``workers`` threads walk the
+    samples, at most one per chunk of them; by default one per usable CPU
+    when samples * N**3 >= _SPLIT_WORK and one otherwise.  N, samples,
+    seed, step_count and workers must be integers (numpy integers too,
+    bools not).
     """
 
     def __init__(
@@ -127,6 +173,64 @@ class WilsonEstimate:
 def _streams(seed, samples):
     root = np.random.SeedSequence(seed)
     return [np.random.Generator(np.random.Philox(child)) for child in root.spawn(samples)]
+
+
+def step_grid(t, step_count):
+    """(steps, dt) of the Cayley walk to time t > 0 at ``step_count`` per unit."""
+    steps = max(1, math.ceil(step_count * t - 1e-9))
+    return steps, t / steps
+
+
+def evolve_unitaries(gens, N, t, step_count, start=None, dt=None):
+    """One Brownian-motion sample per generator, evolved for time t.
+
+    Returns an (S, N, N) array, S = len(gens).  Each generator backs one
+    sample stream, consumed in step-major order, so identical generators
+    give identical samples.
+
+    ``start`` (S, N, N) is the matrix each sample starts from, the
+    identity by default; each generator is read from the position it
+    stands at.  ``dt`` fixes the step size, t / ceil(step_count t) by
+    default.  A path cut into pieces, each piece started from the last
+    one's matrices with the generators where it left them and with the
+    same ``dt``, equals the path walked in one call bit for bit.
+    """
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    S = len(gens)
+    if start is None:
+        U = np.broadcast_to(np.eye(N, dtype=complex), (S, N, N)).copy()
+    else:
+        U = np.array(start, dtype=complex, order="C")
+    if S == 0 or t == 0:
+        return U
+    if dt is None:
+        steps, dt = step_grid(t, step_count)
+    else:
+        steps = round(t / dt)
+    # C = A/4 = h ((X^T - X) + i (X + X^T)); the noise is scaled by h as drawn
+    h = math.sqrt(dt / N) / 8.0
+    block = max(1, _NOISE_FLOATS // (S * N * N))
+    noise = np.empty((S, min(block, steps), N, N))
+    C = np.empty((S, N, N), complex)
+    for j in range(steps):
+        if j % block == 0:
+            n = min(block, steps - j)
+            for s, g in enumerate(gens):
+                g.standard_normal(out=noise[s, :n])
+            noise[:, :n] *= h
+        Y = noise[:, j % block]
+        Yt = Y.transpose(0, 2, 1)
+        np.subtract(Yt, Y, out=C.real)
+        np.add(Y, Yt, out=C.imag)
+        # M/2 = I/2 - C + (4/3) C^3, built in the C^3 buffer
+        M = C @ C @ C
+        M *= 4.0 / 3.0
+        M -= C
+        M.reshape(S, N * N)[:, :: N + 1] += 0.5
+        V = np.linalg.solve(M, U)
+        U = np.subtract(V, U, out=V)
+    return U
 
 
 def _check_unitary(U):
@@ -202,11 +306,6 @@ class _PathStore:
             held -= len(self.paths.pop(next(iter(self.paths))))
 
 
-def _store_key(cfg):
-    """What the paths depend on; the store starts afresh when it changes."""
-    return (cfg.seed, cfg.N, cfg.samples, cfg.step_count)
-
-
 def _lasso_matrices(cfg, times):
     """One read-only (samples, N, N) array per lasso time, in slot order.
 
@@ -214,7 +313,7 @@ def _lasso_matrices(cfg, times):
     they can; the rest is evolved on from the nearest snapshot below it,
     and every new snapshot passes the unitarity check once.
     """
-    key = _store_key(cfg)
+    key = (cfg.seed, cfg.N, cfg.samples, cfg.step_count)  # what the paths depend on
     store = cfg._paths
     if store is None or store.key != key:
         store = cfg._paths = _PathStore(cfg, key)
@@ -227,7 +326,6 @@ def _lasso_matrices(cfg, times):
                 for *_, new in jobs:
                     for _, (U, _) in new:
                         U.flags.writeable = False
-                        _check_unitary(U)
         except BaseException:
             # snapshots planned by this call may be unfilled or unchecked
             store.paths.clear()
@@ -237,7 +335,8 @@ def _lasso_matrices(cfg, times):
 
 
 def _run_jobs(jobs, gens, cfg):
-    """Fill the snapshots that ``_PathStore.plan`` laid out, with the store's generators."""
+    """Fill the snapshots that ``_PathStore.plan`` laid out, with the store's
+    generators, and check each chunk's rows of them for unitarity."""
 
     def work(lo, hi):
         chunk = gens[lo:hi]
@@ -247,6 +346,7 @@ def _run_jobs(jobs, gens, cfg):
             U = None if U is None else U[lo:hi]
             for end, (snap, snap_states) in new:
                 U = evolve_unitaries(chunk, cfg.N, (end - n) * dt, cfg.step_count, start=U, dt=dt)
+                _check_unitary(U)
                 snap[lo:hi] = U
                 snap_states[lo:hi] = [g.bit_generator.state for g in chunk]
                 n = end
@@ -254,25 +354,27 @@ def _run_jobs(jobs, gens, cfg):
     _by_sample(cfg, work)
 
 
+def _chunks(N, samples, workers):
+    """The (lo, hi) sample ranges, in order: a worker's share each, but no
+    more than leave room for ``_BLOCK_STEPS`` steps of noise, and at least one."""
+    size = max(1, min(_NOISE_FLOATS // (_BLOCK_STEPS * N * N), -(-samples // workers)))
+    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+
+
 def _by_sample(cfg, work):
-    """Run ``work(lo, hi)`` over the samples, split across cfg.workers threads.
+    """Run ``work(lo, hi)`` on every chunk of the samples, on at most
+    cfg.workers threads, or in order on this one when that is one.
 
     Every sample owns its stream, so the split does not affect the values.
     """
-    S = cfg.samples
-    w = min(cfg.workers, S)
-    if w <= 1:
-        work(0, S)
+    chunks = _chunks(cfg.N, cfg.samples, cfg.workers)
+    threads = min(cfg.workers, len(chunks))
+    if threads == 1:
+        for lo, hi in chunks:
+            work(lo, hi)
     else:
-        bounds = [round(S * i / w) for i in range(w + 1)]
-        with ThreadPoolExecutor(max_workers=w) as pool:
-            futs = [
-                pool.submit(work, bounds[i], bounds[i + 1])
-                for i in range(w)
-                if bounds[i] < bounds[i + 1]
-            ]
-            for f in futs:
-                f.result()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, *zip(*chunks)))
 
 
 def _dagger(U):
@@ -287,6 +389,20 @@ def _product(mats, letters, prod=None):
     return prod
 
 
+def _letter(letter, count):
+    """``letter`` as a (lasso index, exponent) pair of ints by ``as_int``."""
+    try:
+        idx, expo = letter
+        idx, expo = as_int(idx, ""), as_int(expo, "")
+    except (TypeError, ValueError):
+        expo = 0
+    if expo not in (1, -1):
+        raise ValueError(f"letter must be (lasso index, +1 or -1), got {letter!r}")
+    if not 0 <= idx < count:
+        raise ValueError(f"word references lasso {idx} of {count}")
+    return idx, expo
+
+
 def estimate_wilson_many(lassos, words, cfg):
     """Estimate several scalar Wilson loops over one lasso family with shared samples.
 
@@ -296,37 +412,35 @@ def estimate_wilson_many(lassos, words, cfg):
     mean normalized trace of the letters' matrix product.  A word that
     extends the word before it continues that word's product; a product
     is built left to right either way, so each value is bit for bit that
-    of the word estimated on its own.
+    of the word estimated on its own.  An area is a real number, not a
+    bool; indices, exponents and orientations are integers by ``as_int``.
     """
     lassos = list(lassos)
-    words = [list(word) for word in words]
-    areas = []
+    areas, orients = [], []
     for area, orient in lassos:
-        if not 0 <= area < math.inf:
+        real = isinstance(area, numbers.Real) and not isinstance(area, bool)
+        if not (real and 0 <= area < math.inf):
             raise ValueError(f"face area must be finite and >= 0, got {area}")
         if not math.isfinite(cfg.step_count * area):
             raise ValueError(
                 f"face area {area} at {cfg.step_count} steps per unit time "
                 "needs a step count that is not finite"
             )
-        if orient not in (1, -1):
+        try:
+            sign = as_int(orient, "", -1, 1)
+        except ValueError:
+            sign = 0
+        if not sign:
             raise ValueError(f"orientation must be +1 or -1, got {orient}")
         areas.append(area)
-    for word in words:
-        for letter in word:
-            if len(letter) != 2 or letter[1] not in (1, -1):
-                raise ValueError(f"letter must be (lasso index, +1 or -1), got {letter!r}")
-            if not 0 <= letter[0] < len(lassos):
-                raise ValueError(f"word references lasso {letter[0]} of {len(lassos)}")
+        orients.append(sign)
+    words = [[_letter(letter, len(lassos)) for letter in word] for word in words]
 
     mats = _lasso_matrices(cfg, areas)
-    for k, (_, orient) in enumerate(lassos):
-        if orient == -1:
-            mats[k] = _dagger(mats[k])
+    mats = [m if orient == 1 else _dagger(m) for m, orient in zip(mats, orients)]
 
     out, prev, prod = [], [], None
-    for word in words:
-        letters = [tuple(letter) for letter in word]
+    for letters in words:
         if not letters:
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue

@@ -433,6 +433,29 @@ def test_out_naming_a_missing_corpus_creates_nothing(tmp_path, capsys, monkeypat
     assert not new.exists()
 
 
+@pytest.mark.parametrize("corpus", ["missing", "empty"])
+@pytest.mark.parametrize(
+    "command",
+    [["mc", *_SAMPLER, "--loops"], ["check", "braid", "--corpus"],
+     ["compare-mc", *_SAMPLER, "--corpus"]],
+    ids=["mc", "check", "compare-mc"],
+)
+def test_an_unusable_corpus_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, command, corpus):
+    # The corpus is read before --out is opened, so --out keeps its bytes.
+    monkeypatch.setattr(cli, "estimate_wilson_many", no_work)
+    monkeypatch.setattr(cli, "evaluate", no_work)
+    (tmp_path / "empty.txt").write_text("")
+    path, sink = tmp_path / f"{corpus}.txt", tmp_path / "out.csv"
+    sink.write_bytes(b"word,mean_re,mean_im,stderr\nNESW,0.6,0,0.01\n")
+    rc, out, err = run(capsys, [*command, str(path), "--out", str(sink)])
+    message = {
+        "missing": f"cannot read corpus {path}: No such file or directory\n",
+        "empty": f"corpus {path} holds no loop\n",
+    }[corpus]
+    assert (rc, out, err) == (2, "", message)
+    assert sink.read_bytes() == b"word,mean_re,mean_im,stderr\nNESW,0.6,0,0.01\n"
+
+
 _HUGE = "1" + "0" * 29  # above sys.maxsize: no word or list is that long
 
 

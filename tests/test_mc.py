@@ -3,13 +3,16 @@ import math
 import os
 import pickle
 import re
+import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from masterfield import DEFAULT_CORPUS, HolonomyField, _kernels, evaluate, loop_observable, mc
+from masterfield import DEFAULT_CORPUS, HolonomyField, evaluate, loop_observable, mc
 from masterfield.freeprob import State, product_state
 from masterfield.holonomy import _lasso_word
 from masterfield.levy import fubm_moment, state_at
@@ -136,9 +139,9 @@ def test_block_draws_match_one_draw_per_step():
     # where one draw per step leaves them: no stream is read past the
     # call's last step.
     N, S, steps = 16, 8, 50
-    assert _kernels._NOISE_FLOATS // (S * N * N) == 32
+    assert mc._NOISE_FLOATS // (S * N * N) == 32
     gens, oracle = mc._streams(3, S), mc._streams(3, S)
-    U = _kernels.evolve_unitaries(gens, N, 1.0, steps)
+    U = mc.evolve_unitaries(gens, N, 1.0, steps)
     assert np.array_equal(U, walk_one_draw_per_step(oracle, N, steps, 1.0 / steps))
     assert [repr(g.bit_generator.state) for g in gens] == [
         repr(g.bit_generator.state) for g in oracle
@@ -172,7 +175,7 @@ def test_one_step_matches_the_exponential_to_fifth_order():
     U0, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     errs = []
     for c in (1.0, 0.5, 0.25):
-        U = _kernels.evolve_unitaries([FixedNoise(c * draw[None])], N, dt, 50, start=U0[None])
+        U = mc.evolve_unitaries([FixedNoise(c * draw[None])], N, dt, 50, start=U0[None])
         errs.append(np.abs(U[0] - expm(increment(c * draw, N, dt)) @ U0).max())
     assert errs[-1] > 1e-10  # well above rounding
     for big, small in zip(errs, errs[1:]):
@@ -185,7 +188,7 @@ def test_walk_matches_the_textbook_cayley_step():
     N, S, steps = 16, 2, 50
     dt = 1.0 / steps
     draws = np.random.default_rng(2).standard_normal((S, steps, N, N))
-    U = _kernels.evolve_unitaries([FixedNoise(d) for d in draws], N, 1.0, steps)
+    U = mc.evolve_unitaries([FixedNoise(d) for d in draws], N, 1.0, steps)
     ident = np.eye(N)
     for s in range(S):
         V = ident.astype(complex)
@@ -205,7 +208,7 @@ def test_increment_has_the_gue_covariance():
     # back up to O(A^3), far below 1e-6 at this size of draw.
     N, dt, c = 3, 1.0 / 50, 1e-3
     units = np.eye(N * N).reshape(N * N, 1, N, N)
-    U = _kernels.evolve_unitaries([FixedNoise(c * e) for e in units], N, dt, 50)
+    U = mc.evolve_unitaries([FixedNoise(c * e) for e in units], N, dt, 50)
     A = (U - U.conj().transpose(0, 2, 1)).reshape(N * N, -1) / (2 * c)
     gram = (A.conj() @ A.T).real
     assert np.abs(gram - dt / N * np.eye(N * N)).max() <= 1e-6 * dt / N
@@ -345,6 +348,21 @@ def test_one_shot_iterables_match_lists():
     assert estimates(lassos, [iter(w) for w in words]) == want
 
 
+def walked_in_one_go(lassos, words, cfg):
+    # the stream layout: each slot evolved from the identity, in slot
+    # order, through one set of per-sample streams
+    gens = mc._streams(cfg.seed, cfg.samples)
+    mats = []
+    for area, orient in lassos:
+        U = mc.evolve_unitaries(gens, cfg.N, area, cfg.step_count)
+        mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
+    out = []
+    for word in words:
+        v = np.einsum("sii->s", mc._product(mats, word)) / cfg.N
+        out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
+    return out
+
+
 def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     # A config keeps the paths evolved through it.  Every call through a
     # shared config must give bit for bit what the same call gives on a
@@ -367,20 +385,6 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     def values(lassos, words, cfg):
         return [(e.mean, e.stderr) for e in estimate_wilson_many(lassos, words, cfg)]
 
-    def walked_in_one_go(lassos, words, cfg):
-        # the stream layout: each slot evolved from the identity, in slot
-        # order, through one set of per-sample streams
-        gens = mc._streams(cfg.seed, cfg.samples)
-        mats = []
-        for area, orient in lassos:
-            U = _kernels.evolve_unitaries(gens, cfg.N, area, cfg.step_count)
-            mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
-        out = []
-        for word in words:
-            v = np.einsum("sii->s", mc._product(mats, word)) / cfg.N
-            out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
-        return out
-
     # at N=16 and 8 samples the default splits the samples four ways
     assert cfg_small(N=16, samples=8).workers == 4
     walked = [walked_in_one_go(*call, cfg_small(N=16, samples=8)) for call in calls]
@@ -398,6 +402,88 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
             setattr(shared, attr, value)
         fresh = cfg_small(**{"N": 6, "samples": 10, **change})
         assert values(lassos, words, shared) == values(lassos, words, fresh)
+
+
+def test_chunk_rule():
+    for N in (2, 4, 16, 64, 128):
+        room = mc._NOISE_FLOATS // (mc._BLOCK_STEPS * N * N)
+        for S in (1, 2, 8, 100, 3000):
+            for workers in (1, 2, 4):
+                chunks = mc._chunks(N, S, workers)
+                assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(S))
+                assert all(lo < hi for lo, hi in chunks)
+                assert all(hi - lo == 1 or hi - lo <= room for lo, hi in chunks)
+                if room >= -(-S // workers):  # the worker share sets the size
+                    assert len(chunks) >= min(workers, S)
+    # the sampler workloads split as the equal ranges did: N=4 with 100
+    # samples on one worker is one chunk, with 40 steps a noise block, and
+    # N=64 with 2 samples on two or more workers is two one-sample chunks
+    assert mc._chunks(4, 100, 1) == [(0, 100)]
+    assert mc._NOISE_FLOATS // (100 * 4 * 4) == 40
+    assert mc._chunks(64, 2, 2) == mc._chunks(64, 2, 4) == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_chunked_calls_match_fresh_configs(workers):
+    # At N=16 a chunk holds at most 16 samples (14 on three workers), so
+    # 40 samples walk in three chunks.  The second call resumes the first
+    # one's path from its snapshot at 25 steps, so each chunk sets its own
+    # generators from the snapshot's states.  Three threads on fewer cores
+    # switch often here.
+    assert len(mc._chunks(16, 40, workers)) == 3
+    calls = [
+        ([(0.5, 1), (0.3, -1)], [[(0, 1), (1, 1)], [(1, -1), (0, 1), (1, 1)]]),
+        ([(1.0, 1), (0.3, 1)], [[(0, 1)], [(0, 1), (1, -1)]]),
+    ]
+
+    def values(lassos, words, cfg):
+        return [(e.mean, e.stderr) for e in estimate_wilson_many(lassos, words, cfg)]
+
+    shared = cfg_small(N=16, samples=40, workers=workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for lassos, words in calls:
+            got = values(lassos, words, shared)
+            assert got == values(lassos, words, cfg_small(N=16, samples=40, workers=workers))
+            assert got == walked_in_one_go(lassos, words, cfg_small(N=16, samples=40))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+_AREA_REFUSED = "face area must be finite and >= 0, got "
+_LETTER_REFUSED = "letter must be (lasso index, +1 or -1), got "
+
+
+@pytest.mark.parametrize(
+    "lasso,letter,message",
+    [
+        ((True, 1), (0, 1), _AREA_REFUSED + "True"),
+        (("1", 1), (0, 1), _AREA_REFUSED + "1"),
+        ((Decimal("1"), 1), (0, 1), _AREA_REFUSED + "1"),
+        ((1j, 1), (0, 1), _AREA_REFUSED + "1j"),
+        ((None, 1), (0, 1), _AREA_REFUSED + "None"),
+        ((1.0, True), (0, 1), "orientation must be +1 or -1, got True"),
+        ((1.0, 1.0), (0, 1), "orientation must be +1 or -1, got 1.0"),
+        ((1.0, 1), (0, True), _LETTER_REFUSED + "(0, True)"),
+        ((1.0, 1), (0.0, 1), _LETTER_REFUSED + "(0.0, 1)"),
+        ((1, 1), (0, 1), None),
+        ((np.int64(1), np.int64(1)), (np.int32(0), np.int64(1)), None),
+        ((np.float64(1.0), 1), (0, 1), None),
+        ((Fraction(1), 1), (0, 1), None),
+    ],
+)
+def test_lasso_and_letter_inputs(lasso, letter, message):
+    # Refused inputs are ValueErrors; integers, floats and fractions of
+    # Python and numpy are areas, with the values of the float area.
+    cfg = cfg_small(N=4, samples=3)
+    if message is not None:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_wilson_many([lasso], [[letter]], cfg)
+        return
+    got = estimate_wilson_many([lasso], [[letter]], cfg)[0]
+    want = estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg_small(N=4, samples=3))[0]
+    assert (got.mean, got.stderr) == (want.mean, want.stderr)
 
 
 def test_path_store_stays_bounded():
