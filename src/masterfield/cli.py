@@ -28,7 +28,6 @@ from .holonomy import (
 )
 from .levy import fubm_moments
 from .mc import MatrixSamplerConfig, estimate_wilson_many
-from .planar import Loop
 
 
 def _fmt(x):
@@ -128,7 +127,7 @@ def _sampler_jobs(args, field):
         step_count=args.steps,
         workers=args.workers,
     )
-    return cfg, [(word, *_observable(field, Loop(word))) for word in words]
+    return cfg, [(word, *_observable(field, word)) for word in words]
 
 
 def _run_mc(args):

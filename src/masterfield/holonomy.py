@@ -9,11 +9,13 @@ and take the moment of the word (raised to the requested power).
 
 A loop's *shape* is its lasso word and the integer areas of its faces, in
 lasso order; the graph and basis are dropped once it is known.  A field
-keeps one shape per loop word, and the exact values, the invariance sweeps
-and the sampler's view all read it.  Areas become times only where a state
-or a sampler job is built.  The product state depends on the loop only
-through its face areas, so the field builds one state per area tuple and
-every loop with those areas shares it and its memos.
+looks a word up by the text it was given (a ``Loop`` by its word) and
+builds a ``Loop`` only on a miss, so a repeated word costs one dictionary
+lookup.  It derives one shape per reduced word, and the exact values, the
+invariance sweeps and the sampler's view all read it.  Areas become times
+only where a state or a sampler job is built.  The product state depends
+on the loop only through its face areas, so the field builds one state per
+area tuple and every loop with those areas shares it and its memos.
 
 The check_* operations verify a holonomy field's defining invariances:
 braid moves of the basis, area-preserving rearrangement, infinite
@@ -88,7 +90,7 @@ class HolonomyField:
         _check_priority(tree_priority)
         self.product = product
         self.tree_priority = tree_priority
-        self._shapes = {}  # loop word -> (lasso letters, face areas)
+        self._contexts = {}  # word as given -> (Loop, lasso letters, face areas)
         self._states = {}  # face-area tuple -> product state
 
     def __repr__(self):
@@ -127,11 +129,26 @@ def _lasso_word(loop, tree_priority):
 
 
 def _context(field, loop):
-    """The loop's shape under the field, derived once per loop word."""
-    shape = field._shapes.get(loop.word)
-    if shape is None:
-        shape = field._shapes[loop.word] = _lasso_word(loop, field.tree_priority)
-    return shape
+    """The loop's ``(Loop, lasso letters, face areas)`` under the field.
+
+    ``loop`` is a word or a ``Loop``.  The field looks a word up by the text
+    it was given, and a ``Loop`` by its word; only a miss builds and checks a
+    ``Loop``, and its shape is derived once per reduced word.  A word that
+    fails is not stored, so it fails the same way every time.
+    """
+    key = loop.word if isinstance(loop, Loop) else loop
+    try:
+        return field._contexts[key]
+    except (KeyError, TypeError):  # a miss, or an unhashable list of steps
+        pass
+    loop = loop if isinstance(loop, Loop) else Loop(loop)
+    context = field._contexts.get(loop.word)
+    if context is None:
+        context = (loop, *_lasso_word(loop, field.tree_priority))
+        field._contexts[loop.word] = context
+    if isinstance(key, str):
+        field._contexts[key] = context
+    return context
 
 
 def _times(field, loop, areas):
@@ -153,23 +170,18 @@ def _state(field, loop, areas):
 
 def _observable(field, loop):
     """The sampler's view of a loop under the field: (time, 1) lassos and the word."""
-    letters, areas = _context(field, loop)
+    loop, letters, areas = _context(field, loop)
     return [(t, 1) for t in _times(field, loop, areas)], list(letters)
-
-
-def _as_loop(loop):
-    return loop if isinstance(loop, Loop) else Loop(loop)
 
 
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
-    loop = _as_loop(loop)
+    loop, letters, areas = _context(field, loop)
     k = as_int(k, _POWER_RULE, most=sys.maxsize)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
     if len(loop.word) == 0 or k == 0:
         return FieldValue(loop, k, 1.0, "exact")
-    letters, areas = _context(field, loop)
     state = _state(field, loop, areas)
     try:
         word = letters * k
@@ -180,7 +192,6 @@ def evaluate(field, loop, k=1):
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
     """The sampler's view of a loop: (area, orientation) lassos and the word."""
-    loop = _as_loop(loop)
     return _observable(HolonomyField(t_scale=t_scale, tree_priority=tree_priority), loop)
 
 
@@ -249,8 +260,7 @@ def check_braid_invariance(field, loops=None, max_len=4, max_strands=4):
     """
     report = CheckReport("braid invariance", _TOL)
     for word in loops if loops is not None else DEFAULT_CORPUS:
-        loop = _as_loop(word)
-        letters, areas = _context(field, loop)
+        loop, letters, areas = _context(field, word)
         state = _state(field, loop, areas)
         m = min(len(areas), max_strands)
         base_value = state.moment(letters)
@@ -321,8 +331,8 @@ def check_area_invariance(field, pairs=None):
         ]
     report = CheckReport("area invariance", _TOL)
     for a, b in pairs:
-        la, lb = _as_loop(a), _as_loop(b)
-        ca, cb = (_combinatorics(_context(field, l)) for l in (la, lb))
+        (la, *sa), (lb, *sb) = _context(field, a), _context(field, b)
+        ca, cb = _combinatorics(sa), _combinatorics(sb)
         if ca != cb:
             raise ValueError(
                 f"embedding pair {la.word!r} / {lb.word!r} is not comparable: "

@@ -355,10 +355,12 @@ def _run_jobs(jobs, gens, cfg):
 
 
 def _chunks(N, samples, workers):
-    """The (lo, hi) sample ranges, in order: a worker's share each, but no
-    more than leave room for ``_BLOCK_STEPS`` steps of noise, and at least one."""
-    size = max(1, min(_NOISE_FLOATS // (_BLOCK_STEPS * N * N), -(-samples // workers)))
-    return [(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+    """The (lo, hi) sample ranges, in order and near-equal: enough that each
+    leaves room for ``_BLOCK_STEPS`` steps of noise, and one for every
+    worker while there are samples to give it."""
+    room = max(1, _NOISE_FLOATS // (_BLOCK_STEPS * N * N))
+    count = max(-(-samples // room), min(workers, samples))
+    return [(i * samples // count, (i + 1) * samples // count) for i in range(count)]
 
 
 def _by_sample(cfg, work):
@@ -381,11 +383,10 @@ def _dagger(U):
     return U.conj().transpose(0, 2, 1)
 
 
-def _product(mats, letters, prod=None):
+def _product(table, letters, prod=None):
     """``prod`` (no factor when None) times the letters' matrices, left to right."""
-    for idx, expo in letters:
-        m = mats[idx] if expo == 1 else _dagger(mats[idx])
-        prod = m if prod is None else prod @ m
+    for letter in letters:
+        prod = table[letter] if prod is None else prod @ table[letter]
     return prod
 
 
@@ -438,6 +439,11 @@ def estimate_wilson_many(lassos, words, cfg):
 
     mats = _lasso_matrices(cfg, areas)
     mats = [m if orient == 1 else _dagger(m) for m, orient in zip(mats, orients)]
+    # each letter's matrix, an adjoint built once per call
+    table = {
+        (idx, expo): mats[idx] if expo == 1 else _dagger(mats[idx])
+        for idx, expo in {letter for letters in words for letter in letters}
+    }
 
     out, prev, prod = [], [], None
     for letters in words:
@@ -445,9 +451,9 @@ def estimate_wilson_many(lassos, words, cfg):
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue
         if letters[: len(prev)] == prev:
-            prod = _product(mats, letters[len(prev) :], prod)
+            prod = _product(table, letters[len(prev) :], prod)
         else:
-            prod = _product(mats, letters)
+            prod = _product(table, letters)
         prev = letters
         values = np.einsum("sii->s", prod) / cfg.N
         mean = values.mean()

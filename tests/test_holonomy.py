@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masterfield import holonomy
 from masterfield.freeprob import product_state
 from masterfield.holonomy import (
     DEFAULT_CORPUS,
@@ -412,15 +413,81 @@ def test_field_holds_one_state_per_area_tuple():
     field = HolonomyField(t_scale=0.5)
     for w in words:
         evaluate(field, w, 2)
-    shapes = field._shapes
-    assert set(shapes) == {Loop(w).word for w in words}
-    for w, shape in shapes.items():
-        assert shape == _lasso_word(Loop(w), field.tree_priority)
-    tuples = {areas for _, areas in shapes.values()}
+    contexts = field._contexts
+    assert set(contexts) == {Loop(w).word for w in words}
+    for w, (loop, *shape) in contexts.items():
+        assert loop == Loop(w)
+        assert tuple(shape) == _lasso_word(Loop(w), field.tree_priority)
+    tuples = {areas for _, _, areas in contexts.values()}
     assert set(field._states) == tuples
-    assert len(field._states) < len(shapes)
+    assert len(field._states) < len(contexts)
     fresh = HolonomyField()
-    assert fresh._shapes == {} and fresh._states == {}
+    assert fresh._contexts == {} and fresh._states == {}
+
+
+def _count_calls(monkeypatch, owner, name):
+    """The argument tuples of every later call to ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("given", ["NESW", Loop("NESW"), "NESWNS"], ids=["word", "Loop", "unreduced"])
+def test_a_repeated_evaluate_builds_no_loop_and_derives_no_shape(monkeypatch, given):
+    field, nesw = HolonomyField(), Loop("NESW")
+    assert evaluate(field, given, 1).loop == nesw
+    built = _count_calls(monkeypatch, Loop, "__init__")
+    derived = _count_calls(monkeypatch, holonomy, "_lasso_word")
+    for k in range(2, 6):
+        got = evaluate(field, given, k)
+        assert got.loop == nesw
+        assert got.value == pytest.approx(fubm_moment(1.0, k), abs=1e-12)
+    assert built == [] and derived == []
+
+
+def test_every_spelling_of_a_loop_shares_one_shape(monkeypatch):
+    field = HolonomyField()
+    want = evaluate(field, "NESWNEESWNWS", 2).value
+    derived = _count_calls(monkeypatch, holonomy, "_lasso_word")
+    # unreduced text and a list of steps, which is never stored, reduce to
+    # the word already held
+    for given in ("NESWNEESWNWSNS", "NSNESWNEESWNWS", list("NESWNEESWNWS"), list("NESWNEESWNWSEW")):
+        got = evaluate(field, given, 2)
+        assert got.loop == Loop("NESWNEESWNWS") and got.value == want
+    assert derived == []
+    assert field._contexts["NESWNEESWNWSNS"] is field._contexts["NESWNEESWNWS"]
+    assert all(isinstance(key, str) for key in field._contexts)
+
+
+def test_sweeps_and_the_sampler_view_share_the_fields_lookup(monkeypatch):
+    field = HolonomyField()
+    for w in DEFAULT_CORPUS:
+        evaluate(field, w, 1)
+    built = _count_calls(monkeypatch, Loop, "__init__")
+    derived = _count_calls(monkeypatch, holonomy, "_lasso_word")
+    assert check_braid_invariance(field).ok
+    assert check_area_invariance(field, [("NESW", "NNESWS"), ("NEESWW", "NNESSW")]).ok
+    for w in DEFAULT_CORPUS:
+        holonomy._observable(field, w)
+    assert built == [] and derived == []
+
+
+def test_an_invalid_word_fails_the_same_way_every_time():
+    field = HolonomyField()
+    for bad in ("NE", "NXSW", "NESWN", ["N", "E"]):
+        with pytest.raises(ValueError) as first:
+            Loop(bad)
+        for _ in range(3):
+            with pytest.raises(ValueError) as info:
+                evaluate(field, bad, 2)
+            assert str(info.value) == str(first.value)
+    assert field._contexts == {}
 
 
 # Pinned digest of the exact route: `repr` of every value below.  A change

@@ -358,7 +358,11 @@ def walked_in_one_go(lassos, words, cfg):
         mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
     out = []
     for word in words:
-        v = np.einsum("sii->s", mc._product(mats, word)) / cfg.N
+        prod = None
+        for idx, expo in word:  # left to right, an adjoint per inverse letter
+            m = mats[idx] if expo == 1 else mats[idx].conj().transpose(0, 2, 1)
+            prod = m if prod is None else prod @ m
+        v = np.einsum("sii->s", prod) / cfg.N
         out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
     return out
 
@@ -407,26 +411,28 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
 def test_chunk_rule():
     for N in (2, 4, 16, 64, 128):
         room = mc._NOISE_FLOATS // (mc._BLOCK_STEPS * N * N)
-        for S in (1, 2, 8, 100, 3000):
-            for workers in (1, 2, 4):
+        for S in (1, 2, 5, 6, 8, 9, 100, 3000):
+            for workers in (1, 2, 3, 4):
                 chunks = mc._chunks(N, S, workers)
                 assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(S))
                 assert all(lo < hi for lo, hi in chunks)
                 assert all(hi - lo == 1 or hi - lo <= room for lo, hi in chunks)
                 if room >= -(-S // workers):  # the worker share sets the size
                     assert len(chunks) >= min(workers, S)
+                assert len(chunks) >= min(workers, S)  # no worker sits idle
     # the sampler workloads split as the equal ranges did: N=4 with 100
     # samples on one worker is one chunk, with 40 steps a noise block, and
     # N=64 with 2 samples on two or more workers is two one-sample chunks
     assert mc._chunks(4, 100, 1) == [(0, 100)]
     assert mc._NOISE_FLOATS // (100 * 4 * 4) == 40
     assert mc._chunks(64, 2, 2) == mc._chunks(64, 2, 4) == [(0, 1), (1, 2)]
+    assert mc._chunks(8, 5, 4) == [(0, 1), (1, 2), (2, 3), (3, 5)]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_chunked_calls_match_fresh_configs(workers):
-    # At N=16 a chunk holds at most 16 samples (14 on three workers), so
-    # 40 samples walk in three chunks.  The second call resumes the first
+    # At N=16 a chunk holds at most 16 samples, so 40 samples walk in
+    # three chunks of 13, 13 and 14.  The second call resumes the first
     # one's path from its snapshot at 25 steps, so each chunk sets its own
     # generators from the snapshot's states.  Three threads on fewer cores
     # switch often here.
