@@ -131,10 +131,9 @@ def _lasso_word(loop, tree_priority):
 def _context(field, loop):
     """The loop's ``(Loop, lasso letters, face areas)`` under the field.
 
-    ``loop`` is a word or a ``Loop``.  The field looks a word up by the text
-    it was given, and a ``Loop`` by its word; only a miss builds and checks a
-    ``Loop``, and its shape is derived once per reduced word.  A word that
-    fails is not stored, so it fails the same way every time.
+    Keyed by the text given, or a ``Loop``'s word: only a miss builds and
+    checks a ``Loop``, one shape is derived per reduced word, and a word
+    that fails is not stored, so it fails the same way every time.
     """
     key = loop.word if isinstance(loop, Loop) else loop
     try:
