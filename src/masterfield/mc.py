@@ -7,21 +7,28 @@ mean normalized trace of the matrix word.
 Reproducibility: every sample owns a counter-based RNG stream spawned
 from the seed, so estimates are independent of the worker count, and a
 fixed (seed, config) pair reproduces values bit-for-bit.  Lasso slot k of
-a call reads its sample's stream from where slot k-1 stopped, so every
-lasso matrix is a prefix of one path per (start draw, step size).  A
-config keeps the paths evolved through it, with the one set of per-sample
-generators that walks them, and calls sharing a config take their
-matrices from those paths and evolve only what no earlier call did; the
-values are bit-for-bit those of a fresh config.  The paths are
-dropped when the config's seed, N, samples or step_count change; copies
-and pickles of a config start without them.  Estimates from calls sharing
-a config are therefore correlated, as they already were through the
-shared streams (the first lasso of every loop of area 1 is the same
-matrix).  A config retains at most twice the path snapshots that its
-most demanding call needs: about two per unit of that call's total lasso
-area plus two per lasso, each one samples x N x N complex entries
-(26 MB at N=64, 400 samples) plus one generator state per sample; they
-are freed with the config.
+a call reads its sample's stream from where slot k-1 stopped.  Consecutive
+slots with one step size form a run, which walks one path P from the
+identity at its first slot's start draw, and each slot's matrix is the
+path's increment over the slot's own steps, P(end) P(start)^dagger: a
+Brownian motion's increments over disjoint intervals are independent
+copies of it, and this one equals the slot's walk from the identity over
+the same draws up to rounding.  So every lasso matrix is an increment of
+one path per (run start draw, step size).  A config keeps the paths
+evolved through it, with the one set of per-sample generators that walks
+them and the increments read from them, and calls sharing a config take
+their matrices from those and evolve only what no earlier call did; the
+values are bit-for-bit those of a fresh config.  The paths are dropped
+when the config's seed, N, samples or step_count change; copies and
+pickles of a config start without them.  Estimates from calls sharing a
+config are therefore correlated, as they already were through the shared
+streams (the first lasso of every loop of area 1 is the same matrix).  A
+config retains at most twice as many path snapshots and increments as
+its most demanding call would need snapshots with a path per slot: about
+two per unit of that call's total lasso area plus two per lasso, each one
+samples x N x N complex entries (26 MB at N=64, 400 samples), plus one
+generator state per sample for a snapshot; they are freed with the
+config.
 
 The Cayley step
 ---------------
@@ -141,7 +148,7 @@ class MatrixSamplerConfig:
         self.seed = seed
         self.step_count = step_count
         self.workers = workers
-        self._paths = None  # a _PathStore: the paths evolved through this config
+        self._paths = None  # a _PathStore: the paths and increments read through this config
 
     def __getstate__(self):
         # copies and pickles start without paths; the store and its lock
@@ -246,18 +253,23 @@ class _PathStore:
     """The Brownian paths evolved through one config.
 
     Lasso slot k of a call reads the per-sample streams from draw offset
-    o_k = steps_0 + ... + steps_{k-1} (one draw is the noise of one step),
-    so its matrix is a prefix of the path that starts at o_k with step dt.
-    ``paths`` maps (o, dt) to {steps: (matrices, states)}: a read-only
-    (S, N, N) snapshot after that many steps, kept at every multiple of
-    step_count and at every requested length, with each stream's generator
-    state at draw o + steps; ``origin`` holds the states at draw 0, and
-    ``gens`` are the store's one generator per sample, set to a snapshot's
-    states before they walk on from it.  Paths are kept in the order they
-    were last read, and the ones read longest ago are dropped while the
-    store holds more than twice the snapshots that the largest call so far
-    needs on its own.  ``lock`` is held by a call from planning to
-    trimming, so threads may share a config.
+    o_k = steps_0 + ... + steps_{k-1} (one draw is the noise of one step).
+    Consecutive slots with one step size dt form a run (a zero-time slot
+    reads no draws and does not end one), which walks one path P from its
+    first slot's offset o: a slot at o + m of n steps takes the increment
+    P(m + n) P(m)^dagger, the walk over its own draws up to rounding, and
+    the run's first slot takes P(n) itself.  ``paths`` maps (o, dt) to the
+    path's entries: key (0, n) holds a read-only (S, N, N) snapshot P(n)
+    with each stream's generator state at draw o + n, kept at every
+    multiple of step_count and at every slot's end, and key (m, n), m > 0,
+    holds the increment P(n) P(m)^dagger with no states.  ``origin`` holds
+    the states at draw 0, and ``gens`` are the store's one generator per
+    sample, set to a snapshot's states before they walk on from it.  Paths,
+    and the entries of each, are kept in the order they were last read,
+    and the entries read longest ago are dropped while the store holds
+    more than twice the snapshots that the largest call so far would need
+    with every slot on a path of its own.  ``lock`` is held by a call from
+    planning to trimming, so threads may share a config.
     """
 
     def __init__(self, cfg, key):
@@ -269,41 +281,56 @@ class _PathStore:
         self.budget = 0
 
     def plan(self, times, step_count, shape):
-        """The matrices for each lasso time, and the jobs that fill them.
+        """The matrices for each lasso time, the jobs that fill its
+        snapshots and the increments formed from them.
 
-        A job is (dt, steps at start, snapshot to start from, [(steps,
+        A job is (dt, steps at start, snapshot to start from, [(key,
         snapshot), ...] to fill in order).  A job starts from a snapshot
         of its own path or, at step 0, from the identity with the streams
         where the previous slot's snapshot left them; so jobs filled in
-        order only read snapshots that are filled.
+        order only read snapshots that are filled.  An increment is
+        (array to fill, P(m + n), P(m)), formed after the jobs.
         """
         ident = np.broadcast_to(np.eye(shape[1], dtype=complex), shape)
-        out, jobs, need, offset, prev = [], [], 0, 0, self.origin
+        out, jobs, incs, need, offset, prev, run_dt = [], [], [], 0, 0, self.origin, None
         for t in times:
             if t == 0:
                 out.append(ident)
                 continue
             steps, dt = step_grid(t, step_count)
-            key = (offset, dt)
-            snaps = self.paths[key] = self.paths.pop(key, {})
-            if steps not in snaps:
-                base = max((n for n in snaps if n < steps), default=0)
-                src = snaps[base] if base else (None, prev[1])
-                ends = [*range(base - base % step_count + step_count, steps, step_count), steps]
-                new = [(n, (np.empty(shape, complex), [None] * shape[0])) for n in ends]
-                snaps.update(new)
+            if dt != run_dt:  # a new run, from the states the previous slot left
+                start, m, run_dt = prev[1], 0, dt
+                path = self.paths[offset, dt] = self.paths.pop((offset, dt), {})
+            end = m + steps
+            if (0, end) not in path:
+                base = max((n for i, n in path if i == 0 and n < end), default=0)
+                src = path[0, base] if base else (None, start)
+                ends = [*range(base - base % step_count + step_count, end, step_count), end]
+                new = [((0, n), (np.empty(shape, complex), [None] * shape[0])) for n in ends]
+                path.update(new)
                 jobs.append((dt, base, src, new))
-            prev = snaps[steps]
-            out.append(prev[0])
+            prev = path[0, end] = path.pop((0, end))  # read: last in the order
+            if m:
+                inc = path.pop((m, end), None)
+                if inc is None:
+                    inc = (np.empty(shape, complex), None)
+                    incs.append((inc[0], prev[0], path[0, m][0]))
+                path[m, end] = inc
+            out.append(path[m, end][0])
             need += -(-steps // step_count)
             offset += steps
+            m = end
         self.budget = max(self.budget, 2 * need)
-        return out, jobs
+        return out, jobs, incs
 
     def trim(self):
-        held = sum(len(s) for s in self.paths.values())
-        while held > self.budget:
-            held -= len(self.paths.pop(next(iter(self.paths))))
+        held = sum(len(path) for path in self.paths.values())
+        for key, path in list(self.paths.items()):
+            while held > self.budget and path:
+                del path[next(iter(path))]
+                held -= 1
+            if not path:
+                del self.paths[key]
 
 
 def _lasso_matrices(cfg, times):
@@ -311,7 +338,7 @@ def _lasso_matrices(cfg, times):
 
     Matrices come from the paths already evolved through ``cfg`` where
     they can; the rest is evolved on from the nearest snapshot below it,
-    and every new snapshot passes the unitarity check once.
+    and every new snapshot and increment passes the unitarity check once.
     """
     key = (cfg.seed, cfg.N, cfg.samples, cfg.step_count)  # what the paths depend on
     store = cfg._paths
@@ -320,23 +347,24 @@ def _lasso_matrices(cfg, times):
     shape = (cfg.samples, cfg.N, cfg.N)
     with store.lock:
         try:
-            mats, jobs = store.plan(times, cfg.step_count, shape)
-            if jobs:
-                _run_jobs(jobs, store.gens, cfg)
-                for *_, new in jobs:
-                    for _, (U, _) in new:
-                        U.flags.writeable = False
+            mats, jobs, incs = store.plan(times, cfg.step_count, shape)
+            if jobs or incs:
+                _run_jobs(jobs, incs, store.gens, cfg)
+                fresh = [U for *_, new in jobs for _, (U, _) in new] + [U for U, *_ in incs]
+                for U in fresh:
+                    U.flags.writeable = False
         except BaseException:
-            # snapshots planned by this call may be unfilled or unchecked
+            # entries planned by this call may be unfilled or unchecked
             store.paths.clear()
             raise
         store.trim()
     return mats
 
 
-def _run_jobs(jobs, gens, cfg):
-    """Fill the snapshots that ``_PathStore.plan`` laid out, with the store's
-    generators, and check each chunk's rows of them for unitarity."""
+def _run_jobs(jobs, incs, gens, cfg):
+    """Fill the snapshots and increments that ``_PathStore.plan`` laid out,
+    with the store's generators, and check each chunk's rows of them for
+    unitarity."""
 
     def work(lo, hi):
         chunk = gens[lo:hi]
@@ -344,12 +372,15 @@ def _run_jobs(jobs, gens, cfg):
             for g, state in zip(chunk, states[lo:hi]):
                 g.bit_generator.state = state
             U = None if U is None else U[lo:hi]
-            for end, (snap, snap_states) in new:
+            for (_, end), (snap, snap_states) in new:
                 U = evolve_unitaries(chunk, cfg.N, (end - n) * dt, cfg.step_count, start=U, dt=dt)
                 _check_unitary(U)
                 snap[lo:hi] = U
                 snap_states[lo:hi] = [g.bit_generator.state for g in chunk]
                 n = end
+        for inc, later, earlier in incs:
+            np.matmul(later[lo:hi], _dagger(earlier[lo:hi]), out=inc[lo:hi])
+            _check_unitary(inc[lo:hi])
 
     _by_sample(cfg, work)
 
@@ -438,23 +469,28 @@ def estimate_wilson_many(lassos, words, cfg):
     words = [[_letter(letter, len(lassos)) for letter in word] for word in words]
 
     mats = _lasso_matrices(cfg, areas)
-    mats = [m if orient == 1 else _dagger(m) for m, orient in zip(mats, orients)]
-    # each letter's matrix, an adjoint built once per call
-    table = {
-        (idx, expo): mats[idx] if expo == 1 else _dagger(mats[idx])
-        for idx, expo in {letter for letters in words for letter in letters}
-    }
+    # each letter's matrix, its lasso's adjoint where the exponent is not the
+    # orientation, is built when a word first reads it and dropped after the
+    # last word that reads it
+    last = {letter: i for i, letters in enumerate(words) for letter in letters}
+    table = {}
 
     out, prev, prod = [], [], None
-    for letters in words:
+    for i, letters in enumerate(words):
         if not letters:
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue
+        for idx, expo in letters:
+            if (idx, expo) not in table:
+                table[idx, expo] = mats[idx] if orients[idx] == expo else _dagger(mats[idx])
         if letters[: len(prev)] == prev:
             prod = _product(table, letters[len(prev) :], prod)
         else:
             prod = _product(table, letters)
         prev = letters
+        for letter in set(letters):
+            if last[letter] == i:
+                del table[letter]
         values = np.einsum("sii->s", prod) / cfg.N
         mean = values.mean()
         stderr = float(values.std()) / math.sqrt(cfg.samples)

@@ -5,6 +5,7 @@ import pickle
 import re
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -348,31 +349,61 @@ def test_one_shot_iterables_match_lists():
     assert estimates(lassos, [iter(w) for w in words]) == want
 
 
-def walked_in_one_go(lassos, words, cfg):
-    # the stream layout: each slot evolved from the identity, in slot
-    # order, through one set of per-sample streams
-    gens = mc._streams(cfg.seed, cfg.samples)
-    mats = []
-    for area, orient in lassos:
-        U = mc.evolve_unitaries(gens, cfg.N, area, cfg.step_count)
-        mats.append(U if orient == 1 else U.conj().transpose(0, 2, 1))
+def dagger(U):
+    return U.conj().transpose(0, 2, 1)
+
+
+def wilson_values(mats, lassos, words, cfg):
+    """(mean, stderr) of each word over the given lasso matrices."""
+    mats = [U if orient == 1 else dagger(U) for U, (_, orient) in zip(mats, lassos)]
     out = []
     for word in words:
         prod = None
         for idx, expo in word:  # left to right, an adjoint per inverse letter
-            m = mats[idx] if expo == 1 else mats[idx].conj().transpose(0, 2, 1)
+            m = mats[idx] if expo == 1 else dagger(mats[idx])
             prod = m if prod is None else prod @ m
         v = np.einsum("sii->s", prod) / cfg.N
         out.append((complex(v.mean()), float(v.std()) / math.sqrt(cfg.samples)))
     return out
 
 
+def walked_in_one_go(lassos, words, cfg):
+    # the stream layout: slots read one set of per-sample streams in slot
+    # order; consecutive slots of one step size (zero-area slots, which
+    # read nothing, in between) walk one path P from the identity, and a
+    # slot takes P(end) P(start)^dagger, the path itself in a run's first
+    # slot
+    gens = mc._streams(cfg.seed, cfg.samples)
+    ident = np.broadcast_to(np.eye(cfg.N, dtype=complex), (cfg.samples, cfg.N, cfg.N))
+    mats, run_dt, P = [], None, None
+    for area, _ in lassos:
+        if area == 0:
+            mats.append(ident)
+            continue
+        steps = max(1, math.ceil(cfg.step_count * area - 1e-9))
+        if area / steps != run_dt:
+            run_dt, P = area / steps, None
+        Q = mc.evolve_unitaries(gens, cfg.N, area, cfg.step_count, start=P, dt=run_dt)
+        mats.append(Q if P is None else Q @ dagger(P))
+        P = Q
+    return wilson_values(mats, lassos, words, cfg)
+
+
+def walked_from_the_identity(lassos, words, cfg):
+    # the stream layout before runs: each slot walked from the identity,
+    # in slot order, through one set of per-sample streams
+    gens = mc._streams(cfg.seed, cfg.samples)
+    mats = [mc.evolve_unitaries(gens, cfg.N, area, cfg.step_count) for area, _ in lassos]
+    return wilson_values(mats, lassos, words, cfg)
+
+
 def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     # A config keeps the paths evolved through it.  Every call through a
     # shared config must give bit for bit what the same call gives on a
     # fresh, equal config: corpus lassos (slots at offsets > 0, prefixes,
-    # shorter after longer), non-unit steps, orientation -1, zero area, and
-    # paths dropped from the store and evolved again.
+    # shorter after longer), non-unit steps, orientation -1, zero area
+    # between two runs and inside one, and paths dropped from the store and
+    # evolved again.
     calls = []
     for word in DEFAULT_CORPUS:
         lassos, letters = loop_observable(word)
@@ -382,6 +413,7 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
         ([(2.5, -1), (0.0, 1), (0.45, 1)], [[(0, 1), (2, -1)], [(2, 1), (0, 1)]]),
         ([(1.0, 1), (0.7, 1)], [[(1, 1), (0, -1)]]),
         ([(0.5, 1), (0.52, 1), (0.7, 1)], [[(2, 1), (0, 1)]]),
+        ([(0.5, 1), (0.0, 1), (0.3, -1)], [[(2, 1), (1, 1), (0, -1)]]),
     ]
     calls += [([(a, 1)], [[(0, 1)]]) for a in (0.2, 0.1, 0.3, 1 / 3, 0.5, 0.25)]
     calls += calls[:4]
@@ -392,6 +424,12 @@ def test_calls_sharing_a_config_match_fresh_configs(four_cpus):
     # at N=16 and 8 samples the default splits the samples four ways
     assert cfg_small(N=16, samples=8).workers == 4
     walked = [walked_in_one_go(*call, cfg_small(N=16, samples=8)) for call in calls]
+    # reading a slot as an increment of its run's path moves a value by
+    # rounding only, against each slot walked from the identity
+    for call in calls:
+        got = values(*call, cfg_small(N=16, samples=8))
+        want = walked_from_the_identity(*call, cfg_small(N=16, samples=8))
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
     for kw in ({"workers": 1}, {}, {"workers": 3}):
         shared = cfg_small(N=16, samples=8, **kw)
         for (lassos, words), want in zip(calls, walked):
@@ -499,6 +537,83 @@ def test_path_store_stays_bounded():
     for i in range(40):
         estimate_wilson_many([(0.02 * (i + 1), 1), (1.0, 1)], [[(0, 1), (1, 1)]], cfg)
     assert sum(len(snaps) for snaps in cfg._paths.paths.values()) <= 4
+
+
+def count_sample_steps(monkeypatch):
+    """A list that gathers the sample-steps (samples x steps) of each
+    ``mc.evolve_unitaries`` call from now on."""
+    walked, evolve = [], mc.evolve_unitaries
+
+    def counted(gens, N, t, step_count, start=None, dt=None):
+        walked.append(len(gens) * round(t / dt))
+        return evolve(gens, N, t, step_count, start=start, dt=dt)
+
+    monkeypatch.setattr(mc, "evolve_unitaries", counted)
+    return walked
+
+
+def test_corpus_walks_one_path_per_config(monkeypatch):
+    # Every corpus lasso area is a whole number of steps of 1/50, so each
+    # call's slots form one run from draw 0 and every call reads that one
+    # path: the corpus walks as far as its largest total lasso area, 4.
+    # A path per slot offset walked 6, the sum over slots of the largest
+    # area in that slot.
+    cfg = cfg_small(N=4, samples=3, workers=2)
+    sample_steps = count_sample_steps(monkeypatch)
+    for word in DEFAULT_CORPUS:
+        lassos, letters = loop_observable(word)
+        estimate_wilson_many(lassos, [tuple(letters) * k for k in (1, 2, 3)], cfg)
+    assert sum(sample_steps) == 200 * cfg.samples
+    assert list(cfg._paths.paths) == [(0, 0.02)]
+
+
+def test_alternating_step_sizes_walk_each_slot_once(monkeypatch):
+    # 0.5 and 0.45 take steps of 0.02 and 0.45/23, so every slot is a run
+    # of its own: the call walks each slot's steps once, and each value is
+    # bit for bit the slot walked from the identity.
+    lassos = [(0.5, 1), (0.45, -1), (0.5, 1), (0.0, 1), (0.45, 1)]
+    words = [[(0, 1), (1, 1)], [(2, -1), (4, 1), (1, 1)], [(3, 1)]]
+    cfg = cfg_small(N=4, samples=3)
+    assert mc.step_grid(0.5, 50)[1] != mc.step_grid(0.45, 50)[1]
+    want = walked_from_the_identity(lassos, words, cfg_small(N=4, samples=3))
+    sample_steps = count_sample_steps(monkeypatch)
+    got = [(e.mean, e.stderr) for e in estimate_wilson_many(lassos, words, cfg)]
+    assert sum(sample_steps) == cfg.samples * sum(math.ceil(50 * a) for a, _ in lassos)
+    assert got == want
+
+
+def test_path_store_bounds_one_long_path(monkeypatch):
+    # Each call is one run from draw 0 that ends a step further than the
+    # call before it, so one path grows; the store drops the entries of it
+    # read longest ago and keeps the last call's, which walks nothing again.
+    cfg = cfg_small(N=4, samples=3, step_count=64)
+    sample_steps = count_sample_steps(monkeypatch)
+    for i in range(40):
+        lassos = [(1.0, 1), ((i + 1) / 64, 1)]
+        estimate_wilson_many(lassos, [[(0, 1), (1, 1)]], cfg)
+        store = cfg._paths
+        assert list(store.paths) == [(0, 1 / 64)]
+        assert sum(len(path) for path in store.paths.values()) <= store.budget == 4
+    walked = len(sample_steps)
+    estimate_wilson_many(lassos, [[(1, -1)]], cfg)
+    assert len(sample_steps) == walked
+
+
+def test_adjoints_are_dropped_after_their_last_word():
+    # Each word reads one lasso inverted, and each adjoint is built once and
+    # dropped after its word: at most two are alive at once (the last
+    # word's product and the next word's adjoint), not six.
+    cfg = cfg_small(N=16, samples=50)
+    lassos, words = [(1.0, 1)] * 6, [[(k, -1)] for k in range(6)]
+    estimate_wilson_many(lassos, words, cfg)  # the paths, evolved beforehand
+    size = cfg.samples * cfg.N * cfg.N * 16
+    tracemalloc.start()
+    try:
+        estimate_wilson_many(lassos, words, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * size
 
 
 def test_failed_call_leaves_no_unfilled_snapshot(monkeypatch):
