@@ -23,7 +23,7 @@ from .levy import (
     fubm_moments,
     state_at,
 )
-from .freeprob import product_state, haar_unitary_state, semicircle_state
+from .freeprob import product_state, haar_unitary_state
 from .holonomy import (
     DEFAULT_CORPUS,
     HolonomyField,
@@ -52,7 +52,6 @@ __all__ = [
     "state_at",
     "product_state",
     "haar_unitary_state",
-    "semicircle_state",
     "DEFAULT_CORPUS",
     "HolonomyField",
     "evaluate",

@@ -1,4 +1,4 @@
-"""Noncrossing combinatorics, states, and products of states.
+"""States, their free cumulants, and products of states.
 
 A *state* here is a unital linear functional given by its moments on words
 over an opaque symbol alphabet.  Families of states are combined into a
@@ -11,8 +11,9 @@ state on words of ``(factor, symbol)`` letters by one of three products:
   mean-zero blocks have zero expectation.
 
 The free product is computed by the first-block expansion through
-noncrossing cumulants; the test suite keeps the centering recursion as its
-oracle.  The expansion writes the moment of a word as a sum over chains
+noncrossing cumulants; the test suite keeps the centering recursion and
+the sum over noncrossing partitions (``tests/oracles.py``) as its oracles.
+The expansion writes the moment of a word as a sum over chains
 ``i = v0 < v1 < ...`` of same-factor blocks: the factor's joint cumulant of
 the chain's blocks times the moments of the gaps between them and of the
 tail after the last.  One walk, :func:`_first_block`, sums it for the free
@@ -25,94 +26,20 @@ all its extensions.  A state gives the walk two things: a key for a word
 memoised, and a gap function of a tuple of keys (:meth:`State._gaps`), the
 moment of the words strictly between two positions, from which the walk
 alone builds its rows.  A general state keys a word by itself and takes
-the moment of the concatenated words; :func:`cumulants_from_moments` is
-the walk on a state built from a moment table.  A marginal of one unitary
-(the face states of :mod:`masterfield.levy` and the Haar unitary) keys a
-word by its net power and reads its gaps by prefix sums into one table
-indexed by |net power|, filled as far as a call needs.  The free
+the moment of the concatenated words.  A marginal of one unitary (the
+face states of :mod:`masterfield.levy` and the Haar unitary) keys a word
+by its net power and reads its gaps by prefix sums into one table indexed
+by |net power|, filled as far as a call needs.  The free
 product's gaps are its subword moments, memoised on the product state by
 the subword's blocks, so a subword that recurs at other positions of a
 periodic word, or at another power of the same loop, is computed once.
-
-The moment-cumulant transform :func:`moments_from_cumulants` sums over the
-noncrossing partitions of :func:`enumerate_nc`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
-from math import comb
 
-from ._ints import as_int
-
-__all__ = [
-    "NC_MAX",
-    "enumerate_nc",
-    "catalan",
-    "moments_from_cumulants",
-    "cumulants_from_moments",
-    "State",
-    "haar_unitary_state",
-    "semicircle_state",
-    "product_state",
-    "ProductState",
-    "ConjugationCumulantReport",
-    "joint_cumulants_check_conjugation",
-]
-
-NC_MAX = 12
-
-
-def catalan(n):
-    return comb(2 * n, n) // (n + 1)
-
-
-def enumerate_nc(k):
-    """All noncrossing partitions of ``{0..k-1}`` (blocks sorted by minimum).
-
-    The first element stands alone or joins the block of its next block
-    member ``elems[i]``; the elements between the two are partitioned apart.
-    """
-    k = as_int(k, f"noncrossing enumeration supports 0 <= k <= {NC_MAX}", 0, NC_MAX)
-
-    def rec(elems):
-        if not elems:
-            return [()]
-        first = elems[0]
-        out = [((first,),) + p for p in rec(elems[1:])]
-        for i in range(1, len(elems)):
-            inner = rec(elems[1:i])
-            for q in rec(elems[i:]):
-                head = ((first,) + q[0],)
-                out += [head + p + q[1:] for p in inner]
-        return out
-
-    return rec(tuple(range(k)))
-
-
-def moments_from_cumulants(word, cumulants):
-    """Sum over noncrossing partitions of products of cumulants of subwords."""
-    word = tuple(word)
-    total = 0
-    for pi in enumerate_nc(len(word)):
-        prod = 1
-        for block in pi:
-            prod *= cumulants(tuple(word[i] for i in block))
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
-def cumulants_from_moments(word, moments):
-    """Invert the moment formula: the free cumulant of the letters of ``word``.
-
-    ``moments`` maps a subword (a tuple of letters) to its moment; the
-    cumulant is :meth:`State.joint_cumulant` of the letters taken one by one.
-    """
-    state = State(moments, tracial=False)
-    return state.joint_cumulant(tuple((x,) for x in word))
+__all__ = ["State", "haar_unitary_state", "product_state", "ProductState"]
 
 
 class State:
@@ -237,18 +164,6 @@ def haar_unitary_state():
     return _UnitaryState(lambda n: 0 if n else 1, "haar_unitary")
 
 
-def semicircle_state():
-    """Standard semicircular element: symbol ``"s"``, Catalan even moments."""
-
-    def mom(word):
-        if any(s != "s" for s in word):
-            raise ValueError("semicircle words use the single symbol 's'")
-        n = len(word)
-        return catalan(n // 2) if n % 2 == 0 else 0
-
-    return State(mom, name="semicircle", tracial=True)
-
-
 def _runs(word):
     """Maximal same-factor runs of a ``(factor, symbol)`` word."""
     runs = []
@@ -350,39 +265,3 @@ class ProductState(State):
 def product_state(factors, kind):
     """Combine marginal states into one by the named product."""
     return ProductState(factors, kind)
-
-
-class ConjugationCumulantReport:
-    """Cumulants of a variable before and after free unitary conjugation."""
-
-    def __init__(self, order, original, conjugated):
-        self.order = order
-        self.original = original
-        self.conjugated = conjugated
-
-    @property
-    def equal(self):
-        return self.original == self.conjugated
-
-def joint_cumulants_check_conjugation(order=6):
-    """Cumulants of ``v w v*`` versus ``w`` for ``v`` Haar, ``w`` semicircular, free.
-
-    Everything is exact rational arithmetic: moments of the conjugated
-    variable come from the free product of the Haar and semicircle states,
-    and both cumulant tables are produced by the same transform.
-    """
-    order = as_int(order, f"order must be between 1 and {NC_MAX}", 1, NC_MAX)
-    v = haar_unitary_state()
-    w = semicircle_state()
-    ps = product_state([v, w], "free")
-    one = Fraction(1)
-
-    def cumulants(moment):
-        words = [("w",) * m for m in range(1, order + 1)]
-        return {
-            u: cumulants_from_moments(u, lambda x: one * moment(len(x))) for u in words
-        }
-
-    conj = cumulants(lambda m: ps.moment(((0, 1), (1, "s"), (0, -1)) * m))
-    orig = cumulants(lambda m: w.moment(("s",) * m))
-    return ConjugationCumulantReport(order, orig, conj)

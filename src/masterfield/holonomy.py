@@ -94,7 +94,10 @@ class HolonomyField:
         self._states = {}  # face-area tuple -> product state
 
     def __repr__(self):
-        return f"HolonomyField(product={self.product!r}, t_scale={self.t_scale})"
+        return (
+            f"HolonomyField(product={self.product!r}, t_scale={self.t_scale}, "
+            f"tree_priority={self.tree_priority!r})"
+        )
 
 
 class FieldValue:

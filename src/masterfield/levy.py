@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import sys
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from math import comb, exp, factorial, inf, perm
 from numbers import Integral, Real
 
@@ -36,7 +35,6 @@ from ._ints import as_int
 from .freeprob import _UnitaryState
 
 __all__ = [
-    "fubm_polynomial",
     "fubm_moments",
     "fubm_moment",
     "state_at",
@@ -52,14 +50,6 @@ def _check_time(t):
 def _numerators(k):
     """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``."""
     return tuple((-k) ** j * comb(k, j + 1) * perm(k - 1, k - 1 - j) for j in range(k)) or (1,)
-
-
-def fubm_polynomial(k):
-    """Coefficients (constant first) of ``p_k``, exact rationals."""
-    k = as_int(k, "moment order must be an integer")
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    return tuple(Fraction(a, factorial(k)) for a in _numerators(k))
 
 
 def fubm_moment(t, k):

@@ -15,13 +15,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from masterfield.freeprob import (
-    catalan,
-    cumulants_from_moments,
-    enumerate_nc,
-    joint_cumulants_check_conjugation,
-    moments_from_cumulants,
-)
 from masterfield.holonomy import (
     DEFAULT_CORPUS,
     HolonomyField,
@@ -40,7 +33,15 @@ from masterfield.planar import (
     lasso_basis,
     random_loop,
 )
-from masterfield.ncalg import AXIOM_NAMES, verify_axiom
+from masterfield.ncalg import AXIOM_NAMES
+from oracles import (
+    catalan,
+    cumulants_from_moments,
+    enumerate_nc,
+    joint_cumulants_check_conjugation,
+    moments_from_cumulants,
+    verify_axiom,
+)
 
 
 def _report(num, name, ok, detail):

@@ -14,19 +14,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from masterfield.freeprob import (
-    State,
+from masterfield.freeprob import State, haar_unitary_state, product_state
+from masterfield.levy import fubm_moment, state_at
+from masterfield.planar import build_graph, decompose, lasso_basis, random_loop
+from oracles import (
     catalan,
     cumulants_from_moments,
     enumerate_nc,
-    haar_unitary_state,
     joint_cumulants_check_conjugation,
     moments_from_cumulants,
-    product_state,
     semicircle_state,
 )
-from masterfield.levy import fubm_moment, state_at
-from masterfield.planar import build_graph, decompose, lasso_basis, random_loop
 
 
 def all_set_partitions(k):

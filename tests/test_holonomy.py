@@ -360,6 +360,14 @@ def test_loop_observable_layout():
     assert half == [(0.5, 1)]
 
 
+def test_repr_tells_fields_apart():
+    # criterion 9 compares two fields that differ only in their tree priority
+    assert repr(HolonomyField(tree_priority="WSEN")) != repr(HolonomyField())
+    assert repr(HolonomyField("boolean", 0.5, "WSEN")) == (
+        "HolonomyField(product='boolean', t_scale=0.5, tree_priority='WSEN')"
+    )
+
+
 def test_field_validation_and_inexact_refusal():
     with pytest.raises(ValueError, match="product"):
         HolonomyField(product="spherical")

@@ -12,12 +12,8 @@ from scipy.integrate import solve_ivp
 
 from masterfield.freeprob import product_state
 from masterfield.holonomy import HolonomyField, evaluate
-from masterfield.levy import (
-    fubm_moment,
-    fubm_moments,
-    fubm_polynomial,
-    state_at,
-)
+from masterfield.levy import fubm_moment, fubm_moments, state_at
+from oracles import fubm_polynomial
 
 # Test-local oracle: the quadratic moment hierarchy
 #     m_k' = -(k/2) m_k - (k/2) sum_{j=1}^{k-1} m_j m_{k-j},  m_k(0) = 1,

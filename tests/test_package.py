@@ -1,7 +1,11 @@
-"""Every public name a module exports resolves, and star imports work."""
+"""Every public name a module exports resolves, star imports work, and the
+package imports nothing outside numpy and the standard library."""
 
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +25,19 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    # scipy, hypothesis and pytest are test-only dependencies
+    allowed = set(sys.stdlib_module_names) | {"numpy", "masterfield"}
+    foreign = []
+    for path in sorted(Path(masterfield.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
+    assert foreign == []
