@@ -26,10 +26,15 @@ all its extensions.  A state gives the walk two things: a key for a word
 memoised, and a gap function of a tuple of keys (:meth:`State._gaps`), the
 moment of the words strictly between two positions, from which the walk
 alone builds its rows.  A general state keys a word by itself and takes
-the moment of the concatenated words.  A marginal of one unitary (the
-face states of :mod:`masterfield.levy` and the Haar unitary) keys a word
-by its net power and reads its gaps by prefix sums into one table indexed
-by |net power|, filled as far as a call needs.  The free
+the moment of the concatenated words.  The cumulants of a trace do not
+change when their arguments are rotated cyclically (the rotation maps NC(r)
+onto itself and fixes 1_r), so a state built with ``tracial=True`` solves
+one tuple per rotation class, its least rotation, and memoises the value
+under every rotation asked for; a state that is not tracial (the default)
+has no such symmetry, and solves every tuple itself.  A marginal of one
+unitary (the face states of :mod:`masterfield.levy` and the Haar unitary)
+keys a word by its net power and reads its gaps by prefix sums into one
+table indexed by |net power|, filled as far as a call needs.  The free
 product's gaps are its subword moments, memoised on the product state by
 the subword's blocks, so a subword that recurs at other positions of a
 periodic word, or at another power of the same loop, is computed once.
@@ -45,7 +50,7 @@ __all__ = ["State", "haar_unitary_state", "product_state", "ProductState"]
 class State:
     """A unital linear functional given by moments of words over symbols."""
 
-    def __init__(self, moment_fn, name="state", tracial=True):
+    def __init__(self, moment_fn, name="state", tracial=False):
         self._moment_fn = moment_fn
         self.name = name
         self.tracial = tracial
@@ -67,12 +72,21 @@ class State:
         return self._cumulant(tuple(map(self._key, words)))
 
     def _cumulant(self, keys):
-        """The free cumulant of the words with these keys (memoised)."""
-        val = self._cumulants.get(keys)
+        """The free cumulant of the words with these keys (memoised).
+
+        A tracial state solves the least rotation of ``keys`` and stores the
+        value under it and under ``keys``, so every rotation reads one value.
+        """
+        memo = self._cumulants
+        val = memo.get(keys)
         if val is None:
-            between = self._gaps(keys)
-            whole = between(-1, len(keys))
-            val = self._cumulants[keys] = _first_block(self, keys, between, whole, solve=True)
+            least = min(keys[i:] + keys[:i] for i in range(len(keys))) if self.tracial else keys
+            val = memo.get(least)
+            if val is None:
+                between = self._gaps(least)
+                whole = between(-1, len(least))
+                val = memo[least] = _first_block(self, least, between, whole, solve=True)
+            memo[keys] = val
         return val
 
     def _key(self, word):

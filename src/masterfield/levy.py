@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import sys
 from decimal import Decimal, localcontext
-from math import comb, exp, factorial, inf, perm
+from math import exp, factorial, inf
 from numbers import Integral, Real
 
 from ._ints import as_int
@@ -48,8 +48,16 @@ def _check_time(t):
 
 @functools.cache
 def _numerators(k):
-    """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``."""
-    return tuple((-k) ** j * comb(k, j + 1) * perm(k - 1, k - 1 - j) for j in range(k)) or (1,)
+    """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``.
+
+    ``a_j = (-k)^j C(k, j+1) (k-1)!/j!``, built by the term ratio
+    ``a_{j+1} / a_j = -k (k-1-j) / ((j+1)(j+2))`` from ``a_0 = k!``; each
+    division is exact, since its quotient is the integer ``a_{j+1}``.
+    """
+    terms = [factorial(k)]
+    for j in range(k - 1):
+        terms.append(terms[-1] * -k * (k - 1 - j) // ((j + 1) * (j + 2)))
+    return tuple(terms)
 
 
 def fubm_moment(t, k):

@@ -130,8 +130,8 @@ def _abc_states(tracial=False):
 
 
 def test_free_product_low_order_values():
-    A = State(lambda w: Fraction(2) ** len(w), "A")
-    B = State(lambda w: Fraction(3) ** len(w), "B")
+    A = State(lambda w: Fraction(2) ** len(w), "A", tracial=True)
+    B = State(lambda w: Fraction(3) ** len(w), "B", tracial=True)
     free = product_state([A, B], "free")
     a, b = (0, "a"), (1, "b")
     assert free.moment(()) == 1
@@ -388,3 +388,57 @@ def test_free_centering_equals_cumulant_on_random_loops(seed, k):
     want = centering_moment([state_at(a) for a in areas], word, {})
     got = product_state([state_at(a) for a in areas], "free").moment(word)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_a_state_is_not_tracial_by_default():
+    # phi(ab) != phi(ba): a memo that shared rotations here would hand
+    # kappa(b, a) the value of kappa(a, b)
+    moments = {
+        ("a",): Fraction(1),
+        ("b",): Fraction(2),
+        ("a", "b"): Fraction(5),
+        ("b", "a"): Fraction(-3),
+    }
+    state = State(moments.__getitem__)
+    assert not state.tracial
+    for words in ((("a",), ("b",)), (("b",), ("a",))):
+        assert state.joint_cumulant(words) == subset_cumulant(state.moment, words, {})
+
+
+def _cyclic_noise(word):
+    """Rational moments that depend only on the word's cyclic class, not on its reversal."""
+    return rational_noise(min(word[i:] + word[:i] for i in range(len(word))))
+
+
+# One state per kind for every example, so each example also reads the
+# cumulants that rotations in earlier examples stored
+_SHARED_UNITARY = {t: state_at(t) for t in (0.5, 1.0, 2.0)}
+_SHARED_GENERAL = State(_cyclic_noise, name="cyclic", tracial=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=1, max_size=7),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    st.randoms(use_true_random=False),
+)
+def test_every_rotation_reads_its_own_cumulant_from_the_shared_memo(powers, t, rnd):
+    def unitary_moment(word):
+        return fubm_moment(t, sum(word)) if word else 1
+
+    unitary, general = _SHARED_UNITARY[t], _SHARED_GENERAL
+    rotations = [powers[i:] + powers[:i] for i in range(len(powers))]
+    rnd.shuffle(rotations)
+    unitary_memo, general_memo = {}, {}
+    for nets in rotations:
+        words = tuple((1 if n > 0 else -1,) * abs(n) for n in nets)
+        want = subset_cumulant(unitary_moment, words, unitary_memo)
+        assert unitary.joint_cumulant(words) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        letters = tuple((n,) for n in nets)
+        want = subset_cumulant(general.moment, letters, general_memo)
+        assert general.joint_cumulant(letters) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    words = tuple((1 if n > 0 else -1,) * abs(n) for n in powers)
+    got = moments_from_cumulants(words, unitary.joint_cumulant)
+    assert got == pytest.approx(unitary.moment(sum(words, ())), rel=1e-12, abs=1e-12)
+    letters = tuple((n,) for n in powers)
+    assert moments_from_cumulants(letters, general.joint_cumulant) == general.moment(tuple(powers))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masterfield import holonomy
+from masterfield import freeprob, holonomy
 from masterfield.freeprob import product_state
 from masterfield.holonomy import (
     DEFAULT_CORPUS,
@@ -498,10 +498,32 @@ def test_an_invalid_word_fails_the_same_way_every_time():
     assert field._contexts == {}
 
 
+def test_each_face_cumulant_is_solved_once_per_rotation_class(monkeypatch):
+    # a face state is tracial, so its cumulants are invariant under cyclic
+    # rotation of their arguments: the walk solves one tuple per class
+    solves = Counter()
+    real = freeprob._first_block
+
+    def counted(state, keys, between, val, solve=False):
+        solves[state] += solve
+        return real(state, keys, between, val, solve)
+
+    monkeypatch.setattr(freeprob, "_first_block", counted)
+    field = HolonomyField()
+    for k in range(1, 8):
+        evaluate(field, "NWWSESWNNESSWSWNWNEEEE", k)
+    (state,) = field._states.values()
+    for face in state.factors:
+        keys = face._cumulants
+        classes = {min(c[i:] + c[:i] for i in range(len(c))) for c in keys}
+        assert solves[face] == len(classes), face
+    assert sum(solves.values()) < sum(len(face._cumulants) for face in state.factors)
+
+
 # Pinned digest of the exact route: `repr` of every value below.  A change
 # that moves exact values by up to 1e-12 (such as peeling faces that occur
 # once) re-pins it and says so in CHANGES.md.
-GOLDEN_EVALUATE = "a3a8a43b03f0f0c96f1c311b987fbe75e51788bb69029e750a874432cb1a7fc7"
+GOLDEN_EVALUATE = "4188564defee5d894eb398bf4310f227f43666a218f4218dab6b5587067135f6"
 
 
 def test_evaluate_golden_digest():

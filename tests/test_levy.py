@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from masterfield.freeprob import product_state
 from masterfield.holonomy import HolonomyField, evaluate
-from masterfield.levy import fubm_moment, fubm_moments, state_at
+from masterfield.levy import _numerators, fubm_moment, fubm_moments, state_at
 from oracles import fubm_polynomial
 
 # Test-local oracle: the quadratic moment hierarchy
@@ -217,6 +217,16 @@ def biane_polynomial(k):
     if k == 0:
         return (Fraction(1),)
     return tuple(Fraction((-k) ** j * math.comb(k, j + 1), k * math.factorial(j)) for j in range(k))
+
+
+def test_numerators_match_their_binomial_definition():
+    # a_j = (-k)^j C(k, j+1) (k-1)!/j!, here from comb and perm term by
+    # term; the package builds each term from the one before it
+    for k in range(300):
+        want = tuple(
+            (-k) ** j * math.comb(k, j + 1) * math.perm(k - 1, k - 1 - j) for j in range(k)
+        )
+        assert _numerators(k) == (want or (1,)), k
 
 
 def rounded_moment(t, k):

@@ -729,7 +729,7 @@ def test_block_moments_drift_toward_reference():
             M = M @ blk
         return np.einsum("sii->s", M).mean() / d
 
-    proj = State(lambda word: 0.5, name="projection")
+    proj = State(lambda word: 0.5, name="projection", tracial=True)
     compressed = product_state([proj, state_at(t)], "free")
     ref = compressed.moment(((0, "p"), (1, 1)) * k) / 0.5
     assert ref == 0.0
