@@ -182,7 +182,8 @@ def _add_field_flags(p):
         choices=HolonomyField.PRODUCTS,
         default="free",
         help="product structure combining the face states: free is the holonomy "
-        "field; boolean and tensor are negative controls that fail some of its invariances",
+        "field; boolean and tensor are negative controls that fail some of its invariances "
+        "(check gauge reads only --t-scale, so all three give the same rows)",
     )
     _add_t_scale_flag(p)
 

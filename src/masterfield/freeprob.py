@@ -31,10 +31,12 @@ change when their arguments are rotated cyclically (the rotation maps NC(r)
 onto itself and fixes 1_r), so a state built with ``tracial=True`` solves
 one tuple per rotation class, its least rotation, and memoises the value
 under every rotation asked for; a state that is not tracial (the default)
-has no such symmetry, and solves every tuple itself.  A marginal of one
-unitary (the face states of :mod:`masterfield.levy` and the Haar unitary)
-keys a word by its net power and reads its gaps by prefix sums into one
-table indexed by |net power|, filled as far as a call needs.  The free
+has no such symmetry, and solves every tuple itself.  One rule picks the
+least rotation, of a key tuple and of a free product's runs, and tries
+only the rotations that start at a least item.  A marginal of one unitary
+(the face states of :mod:`masterfield.levy` and the Haar unitary) keys a
+word by its net power and reads its gaps by prefix sums into one table
+indexed by |net power|, filled as far as a call needs.  The free
 product's gaps are its subword moments, memoised on the product state by
 the subword's blocks, so a subword that recurs at other positions of a
 periodic word, or at another power of the same loop, is computed once.
@@ -72,15 +74,12 @@ class State:
         return self._cumulant(tuple(map(self._key, words)))
 
     def _cumulant(self, keys):
-        """The free cumulant of the words with these keys (memoised).
-
-        A tracial state solves the least rotation of ``keys`` and stores the
-        value under it and under ``keys``, so every rotation reads one value.
-        """
+        """The free cumulant of the words with these keys (memoised).  A tracial
+        state solves their least rotation and stores the value under both."""
         memo = self._cumulants
         val = memo.get(keys)
         if val is None:
-            least = min(keys[i:] + keys[:i] for i in range(len(keys))) if self.tracial else keys
+            least = _least_rotation(keys) if self.tracial else keys
             val = memo.get(least)
             if val is None:
                 between = self._gaps(least)
@@ -189,15 +188,18 @@ def _runs(word):
     return runs
 
 
-def _cyclic_canonical(blocks):
-    blocks = list(blocks)
-    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
-        f, syms = blocks.pop()
-        blocks[0] = (f, syms + blocks[0][1])
-    if len(blocks) <= 1:
-        return tuple(blocks)
-    rots = [tuple(blocks[i:] + blocks[:i]) for i in range(len(blocks))]
-    return min(rots)
+def _least_rotation(seq):
+    """The least cyclic rotation of a tuple, which starts at a least item."""
+    least = min(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)) if seq[i] == least)
+
+
+def _cyclic_canonical(runs):
+    """A word's maximal runs read cyclically, in their least rotation: the
+    last run joins the first if they share a factor, once at most."""
+    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+        runs = [(runs[0][0], runs[-1][1] + runs[0][1]), *runs[1:-1]]
+    return _least_rotation(tuple(runs)) if len(runs) > 1 else tuple(runs)
 
 
 class ProductState(State):
@@ -205,8 +207,8 @@ class ProductState(State):
 
     Words use ``(factor_index, symbol)`` letters.  A free-product moment is
     the first-block cumulant expansion of :meth:`_free_cumulant_dp`.  When
-    every marginal is tracial, words are canonicalised up to cyclic rotation
-    before memo lookup.
+    every marginal is tracial, so is the free or tensor product, and the
+    free product reads a word's runs up to cyclic rotation.
     """
 
     def __init__(self, factors, kind):
@@ -214,37 +216,29 @@ class ProductState(State):
             raise ValueError(f"unknown product kind {kind!r}")
         self.factors = list(factors)
         self.kind = kind
-        self.tracial_all = all(s.tracial for s in self.factors)
         self._gap_memo = {}
         super().__init__(
             self._moment_of_word,
             name=f"{kind}({', '.join(s.name for s in self.factors)})",
-            tracial=(kind != "boolean") and self.tracial_all,
+            tracial=kind != "boolean" and all(s.tracial for s in self.factors),
         )
 
-    def _marginal(self, f):
-        if not 0 <= f < len(self.factors):
-            raise ValueError(f"factor index {f} out of range")
-        return self.factors[f]
-
     def _moment_of_word(self, word):
-        blocks = _runs(word)
-        for f, _ in blocks:
-            self._marginal(f)
+        groups = _runs(word)
+        for f, _ in groups:
+            if not 0 <= f < len(self.factors):
+                raise ValueError(f"factor index {f} out of range")
+        if self.kind == "free":
+            return self._free_cumulant_dp(groups)
         if self.kind == "tensor":
-            out = 1
             per = {}
-            for f, syms in word:
-                per.setdefault(f, []).append(syms)
-            for f, syms in per.items():
-                out *= self.factors[f].moment(tuple(syms))
-            return out
-        if self.kind == "boolean":
-            out = 1
-            for f, syms in blocks:
-                out *= self.factors[f].moment(syms)
-            return out
-        return self._free_cumulant_dp(blocks)
+            for f, syms in groups:
+                per[f] = per.get(f, ()) + syms
+            groups = per.items()
+        out = 1
+        for f, syms in groups:
+            out *= self.factors[f].moment(syms)
+        return out
 
     def _free_cumulant_dp(self, blocks):
         """First-block expansion over same-factor cumulants, gap by gap.
@@ -252,7 +246,7 @@ class ProductState(State):
         ``seg(i, j)`` is the moment of the subword ``blocks[i:j]``, memoised
         on the product by that subword rather than by its position.
         """
-        blocks = _cyclic_canonical(blocks) if self.tracial_all else tuple(blocks)
+        blocks = _cyclic_canonical(blocks) if self.tracial else tuple(blocks)
         memo = self._gap_memo
 
         def seg(i, j):

@@ -23,7 +23,8 @@ divisibility under face merges, and gauge conjugation by a free Haar
 unitary.  They are properties of the free field.  The boolean and tensor
 fields are negative controls: the boolean field fails the braid sweep and
 infinite divisibility and depends on the spanning tree, and the tensor
-field fails infinite divisibility.
+field fails infinite divisibility.  The gauge sweep reads only a field's
+``t_scale``, so it gives the same rows for every product.
 """
 
 import sys

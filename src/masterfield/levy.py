@@ -39,6 +39,7 @@ __all__ = [
     "fubm_moment",
     "state_at",
 ]
+_NUMERATORS = {}  # _numerators(k) for k < 64
 
 
 def _check_time(t):
@@ -46,18 +47,20 @@ def _check_time(t):
         raise ValueError(f"time must be a finite real number >= 0, got {t!r}")
 
 
-@functools.cache
 def _numerators(k):
     """The integers ``a_j = k! c_j`` (constant first) of ``p_k``; ``p_0 = 1``.
 
     ``a_j = (-k)^j C(k, j+1) (k-1)!/j!``, built by the term ratio
     ``a_{j+1} / a_j = -k (k-1-j) / ((j+1)(j+2))`` from ``a_0 = k!``; each
-    division is exact, since its quotient is the integer ``a_{j+1}``.
+    division is exact, since its quotient is the integer ``a_{j+1}``.  Only
+    orders below 64 are kept: the size of one order's integers grows as k^2.
     """
+    if k in _NUMERATORS:
+        return _NUMERATORS[k]
     terms = [factorial(k)]
     for j in range(k - 1):
         terms.append(terms[-1] * -k * (k - 1 - j) // ((j + 1) * (j + 2)))
-    return tuple(terms)
+    return _NUMERATORS.setdefault(k, tuple(terms)) if k < 64 else tuple(terms)
 
 
 def fubm_moment(t, k):

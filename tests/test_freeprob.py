@@ -11,10 +11,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from masterfield.freeprob import State, haar_unitary_state, product_state
+from masterfield.freeprob import (
+    State,
+    _cyclic_canonical,
+    _least_rotation,
+    _runs,
+    haar_unitary_state,
+    product_state,
+)
 from masterfield.levy import fubm_moment, state_at
 from masterfield.planar import build_graph, decompose, lasso_basis, random_loop
 from oracles import (
@@ -442,3 +449,80 @@ def test_every_rotation_reads_its_own_cumulant_from_the_shared_memo(powers, t, r
     assert got == pytest.approx(unitary.moment(sum(words, ())), rel=1e-12, abs=1e-12)
     letters = tuple((n,) for n in powers)
     assert moments_from_cumulants(letters, general.joint_cumulant) == general.moment(tuple(powers))
+
+
+def _least_of_every_rotation(seq):
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def _cyclic_canonical_by_every_rotation(blocks):
+    """The runs' normal form by brute force: join the end runs while they
+    share a factor, then take the least of every rotation."""
+    blocks = list(blocks)
+    while len(blocks) >= 2 and blocks[0][0] == blocks[-1][0]:
+        f, syms = blocks.pop()
+        blocks[0] = (f, syms + blocks[0][1])
+    if len(blocks) <= 1:
+        return tuple(blocks)
+    rots = [tuple(blocks[i:] + blocks[:i]) for i in range(len(blocks))]
+    return min(rots)
+
+
+# words over three factors and the exponents +-1, as the holonomy field writes them
+_product_words = st.lists(
+    st.tuples(st.integers(0, 2), st.sampled_from([-1, 1])), min_size=1, max_size=14
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=6), st.integers(1, 3), _product_words)
+def test_the_least_rotation_is_the_least_of_every_rotation(body, period, word):
+    # a repeated body gives a tuple with its least item once per period
+    keys = tuple(body) * period
+    assert _least_rotation(keys) == _least_of_every_rotation(keys)
+    runs = tuple(_runs(word))
+    assert _least_rotation(runs) == _least_of_every_rotation(runs)
+    assert _cyclic_canonical(_runs(word)) == _cyclic_canonical_by_every_rotation(_runs(word))
+
+
+def _boolean_by_letters(factors, word):
+    """Each maximal stretch of one factor's letters contributes its moment."""
+    out, start = 1, 0
+    for i in range(1, len(word) + 1):
+        if i == len(word) or word[i][0] != word[start][0]:
+            out *= factors[word[start][0]].moment(tuple(s for _, s in word[start:i]))
+            start = i
+    return out
+
+
+def _tensor_by_letters(factors, word):
+    """Each factor, in order of first appearance, contributes the moment of
+    its letters in the order they come."""
+    out = 1
+    for f in dict.fromkeys(f for f, _ in word):
+        out *= factors[f].moment(tuple(s for g, s in word if g == f))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _product_words,
+    st.sampled_from(["boolean", "tensor"]),
+    st.sampled_from(["unitary", "nested", "ordered"]),
+    st.lists(st.integers(0, 1), min_size=14, max_size=14),
+)
+# factor 1's letters in the order they come, 1 -1 1 1, differ from its runs reversed
+@example(((1, 1), (0, 1), (1, -1), (0, 1), (1, 1), (1, 1)), "tensor", "ordered", [0] * 14)
+def test_boolean_and_tensor_moments_match_their_letter_by_letter_definitions(
+    word, kind, marginals, inner
+):
+    factors = [state_at(0.5), state_at(1.0), state_at(2.0)]
+    if marginals == "nested":
+        # factor 0 is itself a free product, whose letters are (factor, exponent)
+        factors[0] = product_state([state_at(0.3), state_at(0.8)], "free")
+        word = tuple((f, (inner[i], s) if f == 0 else s) for i, (f, s) in enumerate(word))
+    elif marginals == "ordered":
+        # a face state's moments ignore the order of its letters; these do not
+        factors[1] = State(rational_noise, name="ordered")
+    want = (_boolean_by_letters if kind == "boolean" else _tensor_by_letters)(factors, word)
+    assert product_state(factors, kind).moment(word) == want

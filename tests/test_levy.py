@@ -1,6 +1,8 @@
 import decimal
 import functools
 import math
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -227,6 +229,35 @@ def test_numerators_match_their_binomial_definition():
             (-k) ** j * math.comb(k, j + 1) * math.perm(k - 1, k - 1 - j) for j in range(k)
         )
         assert _numerators(k) == (want or (1,)), k
+
+
+_RETAINED_AFTER_K300 = """
+import gc, tracemalloc
+from masterfield.holonomy import HolonomyField, evaluate
+evaluate(HolonomyField(), "NESW", 1)
+gc.collect()
+tracemalloc.start()
+field = HolonomyField()
+evaluate(field, "NESW", 300)
+del field
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_a_high_power_leaves_no_numerators_behind():
+    # one order's integers grow as k^2, so a table filled to k = 300 would
+    # keep about 11 MB of them if every order stayed cached; a fresh process,
+    # since other tests here ask for numerators of orders up to 1440
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_AFTER_K300],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert int(proc.stdout) < 1e6, proc.stdout
 
 
 def rounded_moment(t, k):
