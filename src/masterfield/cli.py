@@ -155,12 +155,12 @@ def _run_compare_mc(args):
     failure = None
     rows = [["loop", "k", "exact", "mc_re", "mc_im", "stderr", "ok"]]
     for word, lassos, letters in jobs:
-        estimates = estimate_wilson_many(lassos, [tuple(letters) * k for k in powers], cfg)
+        estimates = estimate_wilson_many(lassos, (tuple(letters) * k for k in powers), cfg)
         for k, est in zip(powers, estimates):
             exact = evaluate(field, word, k).value
             err = abs(est.mean - exact)
             bound = 3.0 * est.stderr
-            if err > bound and failure is None:
+            if not err <= bound and failure is None:
                 failure = (
                     f"compare-mc: FAIL at {word} k={k}: |mc - exact| = {err:.3e} "
                     f"exceeds 3*stderr = {bound:.3e}"

@@ -194,7 +194,7 @@ def evaluate(field, loop, k=1):
 
 
 def loop_observable(loop, t_scale=1.0, tree_priority="NESW"):
-    """The sampler's view of a loop: (area, orientation) lassos and the word."""
+    """The sampler's view of a loop: (face area * t_scale, 1) lassos and the word."""
     return _observable(HolonomyField(t_scale=t_scale, tree_priority=tree_priority), loop)
 
 

@@ -414,13 +414,6 @@ def _dagger(U):
     return U.conj().transpose(0, 2, 1)
 
 
-def _product(table, letters, prod=None):
-    """``prod`` (no factor when None) times the letters' matrices, left to right."""
-    for letter in letters:
-        prod = table[letter] if prod is None else prod @ table[letter]
-    return prod
-
-
 def _letter(letter, count):
     """``letter`` as a (lasso index, exponent) pair of ints by ``as_int``."""
     try:
@@ -438,14 +431,21 @@ def _letter(letter, count):
 def estimate_wilson_many(lassos, words, cfg):
     """Estimate several scalar Wilson loops over one lasso family with shared samples.
 
-    ``lassos`` is a list of (face area, orientation) pairs; orientation -1
-    means the lasso is traversed against its bulk.  A word is a sequence
-    of (lasso index, exponent +1 or -1) letters, and its estimate is the
-    mean normalized trace of the letters' matrix product.  A word that
-    extends the word before it continues that word's product; a product
-    is built left to right either way, so each value is bit for bit that
-    of the word estimated on its own.  An area is a real number, not a
-    bool; indices, exponents and orientations are integers by ``as_int``.
+    ``lassos`` is an iterable of (face area, orientation) pairs;
+    orientation -1 means the lasso is traversed against its bulk.
+    ``words`` is an iterable of words, each an iterable of (lasso index,
+    exponent +1 or -1) letters, and a word's estimate is the mean
+    normalized trace of its letters' matrix product.  A word that extends
+    the word before it continues that word's product; a product is built
+    left to right either way, so each value is bit for bit that of the
+    word estimated on its own.  An area is a real number, not a bool;
+    indices, exponents and orientations are integers by ``as_int``.
+
+    The words are walked once, in order, and a word's letters are checked
+    when the walk reaches it, so a bad letter fails after the lassos'
+    matrices are evolved.  A letter's matrix, its lasso's adjoint where
+    the exponent is not the orientation, is kept while consecutive words
+    read it.
     """
     lassos = list(lassos)
     areas, orients = [], []
@@ -466,31 +466,25 @@ def estimate_wilson_many(lassos, words, cfg):
             raise ValueError(f"orientation must be +1 or -1, got {orient}")
         areas.append(area)
         orients.append(sign)
-    words = [[_letter(letter, len(lassos)) for letter in word] for word in words]
 
     mats = _lasso_matrices(cfg, areas)
-    # each letter's matrix, its lasso's adjoint where the exponent is not the
-    # orientation, is built when a word first reads it and dropped after the
-    # last word that reads it
-    last = {letter: i for i, letters in enumerate(words) for letter in letters}
-    table = {}
-
-    out, prev, prod = [], [], None
-    for i, letters in enumerate(words):
+    out, prev, prod, table = [], [], None, {}
+    for word in words:
+        letters = [_letter(letter, len(lassos)) for letter in word]
+        table = {
+            (idx, expo): table[idx, expo] if (idx, expo) in table
+            else mats[idx] if orients[idx] == expo
+            else _dagger(mats[idx])
+            for idx, expo in set(letters)
+        }
         if not letters:
             out.append(WilsonEstimate(1.0, 0.0, cfg.samples))
             continue
-        for idx, expo in letters:
-            if (idx, expo) not in table:
-                table[idx, expo] = mats[idx] if orients[idx] == expo else _dagger(mats[idx])
-        if letters[: len(prev)] == prev:
-            prod = _product(table, letters[len(prev) :], prod)
-        else:
-            prod = _product(table, letters)
+        if letters[: len(prev)] != prev:
+            prev, prod = [], None
+        for letter in letters[len(prev) :]:
+            prod = table[letter] if prod is None else prod @ table[letter]
         prev = letters
-        for letter in set(letters):
-            if last[letter] == i:
-                del table[letter]
         values = np.einsum("sii->s", prod) / cfg.N
         mean = values.mean()
         stderr = float(values.std()) / math.sqrt(cfg.samples)

@@ -117,14 +117,6 @@ class Loop:
     def inverse(self):
         return Loop(invert_word(self.word))
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Loop("")
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Loop) and self.word == other.word
 

@@ -191,7 +191,8 @@ def test_criterion_7_combinatorial_oracles():
         basis = lasso_basis(build_graph([loop]))
         rebuilt = Loop("")
         for idx, expo in decompose(loop, basis).letters:
-            rebuilt = rebuilt * basis.lassos[idx].loop() ** expo
+            lasso = basis.lassos[idx].loop()
+            rebuilt = rebuilt * (lasso if expo == 1 else lasso.inverse())
         if rebuilt != loop:
             decomp_ok = False
             break

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from masterfield import (
     loop_observable,
 )
 from masterfield.cli import main
+from masterfield.mc import WilsonEstimate
 
 
 GOLDEN_EVAL = "loop,k,value,method\nNESW,1,0.606530659712633,exact\n"
@@ -225,6 +227,20 @@ def test_compare_mc_detects_finite_size_bias(tmp_path, capsys):
     path = tmp_path / "compare.csv"
     assert run(capsys, argv + ["--out", str(path)]) == (1, "", err)
     assert path.read_bytes() == out.encode()
+
+
+def test_compare_mc_fails_on_a_nan_estimate(capsys, monkeypatch):
+    # A NaN mean is no value within the band: its row reads ok = 0, and the
+    # run exits 1 with one line on stderr, as for any other failing row.
+    def nan_means(lassos, words, cfg):
+        return [WilsonEstimate(math.nan, 0.1, cfg.samples) for _ in words]
+
+    monkeypatch.setattr(cli, "estimate_wilson_many", nan_means)
+    rc, out, err = run(capsys, ["compare-mc", "--N", "2", "--samples", "2", "--kmax", "1"])
+    assert rc == 1
+    assert err.startswith("compare-mc: FAIL at NESW k=1") and len(err.splitlines()) == 1
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(DEFAULT_CORPUS) and all(row.endswith(",0") for row in rows)
 
 
 def test_compare_mc_derives_each_loop_once(tmp_path, monkeypatch):

@@ -616,6 +616,40 @@ def test_adjoints_are_dropped_after_their_last_word():
     assert peak < 3 * size
 
 
+def test_powers_are_walked_one_word_at_a_time():
+    # Powers 1..500 of a one-letter word, handed over one at a time, hold
+    # one word's letters at once, not all 125,250 of them.
+    cfg = MatrixSamplerConfig(N=2, samples=2, seed=1, step_count=50)
+    estimate_wilson_many([(1.0, 1)], [[(0, 1)]], cfg)  # the path, evolved beforehand
+    tracemalloc.start()
+    try:
+        got = estimate_wilson_many([(1.0, 1)], (((0, 1),) * k for k in range(1, 501)), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 500
+    assert peak < 1 << 20
+
+
+def test_each_adjoint_is_built_once_across_powers(monkeypatch):
+    # Powers 1..3 of one word read the same letters, so each inverse
+    # letter's adjoint is built once and kept from one power to the next.
+    lassos, letters = loop_observable("NESWNEESWNWS")
+    words = [tuple(letters) * k for k in (1, 2, 3)]
+    cfg = cfg_small(N=4, samples=6)
+    estimate_wilson_many(lassos, words, cfg)  # the paths, evolved beforehand
+    built = []
+    dagger = mc._dagger
+
+    def counted(U):
+        built.append(U)
+        return dagger(U)
+
+    monkeypatch.setattr(mc, "_dagger", counted)
+    estimate_wilson_many(lassos, words, cfg)
+    assert len(built) == len({idx for idx, expo in letters if expo == -1}) > 0
+
+
 def test_failed_call_leaves_no_unfilled_snapshot(monkeypatch):
     cfg = cfg_small(N=4, samples=5)
 
