@@ -183,7 +183,7 @@ def _add_field_flags(p):
         default="free",
         help="product structure combining the face states: free is the holonomy "
         "field; boolean and tensor are negative controls that fail some of its invariances "
-        "(check gauge reads only --t-scale, so all three give the same rows)",
+        "(boolean fails check braid, divisibility and gauge; tensor fails divisibility)",
     )
     _add_t_scale_flag(p)
 

@@ -11,20 +11,25 @@ A loop's *shape* is its lasso word and the integer areas of its faces, in
 lasso order; the graph and basis are dropped once it is known.  A field
 looks a word up by the text it was given (a ``Loop`` by its word) and
 builds a ``Loop`` only on a miss, so a repeated word costs one dictionary
-lookup.  It derives one shape per reduced word, and the exact values, the
-invariance sweeps and the sampler's view all read it.  Areas become times
-only where a state or a sampler job is built.  The product state depends
-on the loop only through its face areas, so the field builds one state per
-area tuple and every loop with those areas shares it and its memos.
+lookup.  It derives one shape per reduced word, and the invariance sweeps
+and the sampler's view read it.  The free field's exact values read the
+simplest shape with the same law, derived with it: the word reduced
+cyclically, since a trace does not see a conjugation, and, when that core
+reads each face at most once, one face of the summed area, since free
+increments of the free unitary Brownian motion (or their inverses, which
+have the same law) multiply to the motion at the summed time.  Areas
+become times only where a state or a sampler job is built.  The product
+state depends on the loop only through its face areas, so the field builds
+one state per area tuple and every loop with those areas shares it and its
+memos.
 
 The check_* operations verify a holonomy field's defining invariances:
 braid moves of the basis, area-preserving rearrangement, infinite
 divisibility under face merges, and gauge conjugation by a free Haar
 unitary.  They are properties of the free field.  The boolean and tensor
-fields are negative controls: the boolean field fails the braid sweep and
-infinite divisibility and depends on the spanning tree, and the tensor
-field fails infinite divisibility.  The gauge sweep reads only a field's
-``t_scale``, so it gives the same rows for every product.
+fields are negative controls: the boolean field fails the braid sweep,
+infinite divisibility and the gauge sweep and depends on the spanning
+tree, and the tensor field fails infinite divisibility.
 """
 
 import sys
@@ -91,7 +96,8 @@ class HolonomyField:
         _check_priority(tree_priority)
         self.product = product
         self.tree_priority = tree_priority
-        self._contexts = {}  # word as given -> (Loop, lasso letters, face areas)
+        # word as given -> (Loop, lasso letters, face areas, law shape)
+        self._contexts = {}
         self._states = {}  # face-area tuple -> product state
 
     def __repr__(self):
@@ -132,8 +138,28 @@ def _lasso_word(loop, tree_priority):
     return decompose(loop, basis).letters, tuple(l.face.area for l in basis.lassos)
 
 
+def _law_shape(field, letters, areas):
+    """The simplest ``(letters, areas)`` whose moments are the loop's under the field.
+
+    Under the free field, first and last letters that are mutual inverses
+    are stripped, and a core that reads each face at most once becomes one
+    face of the summed area.  The shape is kept under the other products,
+    which are not tracial or whose increments do not multiply, and where
+    the summed area is not a finite time.
+    """
+    if field.product == "free":
+        lo, hi = 0, len(letters)
+        while hi - lo > 1 and letters[lo] == (letters[hi - 1][0], -letters[hi - 1][1]):
+            lo, hi = lo + 1, hi - 1
+        faces = [i for i, _ in letters[lo:hi]]
+        area = sum(areas[i] for i in faces)
+        if len(set(faces)) == len(faces) and isfinite(area * field.t_scale):
+            return ((0, 1),), (area,)
+    return letters, areas
+
+
 def _context(field, loop):
-    """The loop's ``(Loop, lasso letters, face areas)`` under the field.
+    """The loop's ``(Loop, lasso letters, face areas, law shape)`` under the field.
 
     Keyed by the text given, or a ``Loop``'s word: only a miss builds and
     checks a ``Loop``, one shape is derived per reduced word, and a word
@@ -147,7 +173,8 @@ def _context(field, loop):
     loop = loop if isinstance(loop, Loop) else Loop(loop)
     context = field._contexts.get(loop.word)
     if context is None:
-        context = (loop, *_lasso_word(loop, field.tree_priority))
+        letters, areas = _lasso_word(loop, field.tree_priority)
+        context = (loop, letters, areas, _law_shape(field, letters, areas))
         field._contexts[loop.word] = context
     if isinstance(key, str):
         field._contexts[key] = context
@@ -173,13 +200,13 @@ def _state(field, loop, areas):
 
 def _observable(field, loop):
     """The sampler's view of a loop under the field: (time, 1) lassos and the word."""
-    loop, letters, areas = _context(field, loop)
+    loop, letters, areas, _ = _context(field, loop)
     return [(t, 1) for t in _times(field, loop, areas)], list(letters)
 
 
 def evaluate(field, loop, k=1):
     """The k-th moment of the loop holonomy under the field."""
-    loop, letters, areas = _context(field, loop)
+    loop, _, _, (letters, areas) = _context(field, loop)
     k = as_int(k, _POWER_RULE, most=sys.maxsize)
     if k < 0:
         raise ValueError(f"power must be >= 0, got {k}")
@@ -263,7 +290,7 @@ def check_braid_invariance(field, loops=None, max_len=4, max_strands=4):
     """
     report = CheckReport("braid invariance", _TOL)
     for word in loops if loops is not None else DEFAULT_CORPUS:
-        loop, letters, areas = _context(field, word)
+        loop, letters, areas, _ = _context(field, word)
         state = _state(field, loop, areas)
         m = min(len(areas), max_strands)
         base_value = state.moment(letters)
@@ -334,7 +361,7 @@ def check_area_invariance(field, pairs=None):
         ]
     report = CheckReport("area invariance", _TOL)
     for a, b in pairs:
-        (la, *sa), (lb, *sb) = _context(field, a), _context(field, b)
+        (la, *sa, _), (lb, *sb, _) = _context(field, a), _context(field, b)
         ca, cb = _combinatorics(sa), _combinatorics(sb)
         if ca != cb:
             raise ValueError(
@@ -351,14 +378,14 @@ def check_area_invariance(field, pairs=None):
 def check_gauge_invariance_scalar(field, kmax=5):
     """Conjugating by a free Haar unitary leaves all moments unchanged.
 
-    tau((v u_t v*)^k) is evaluated in the free product of a Haar state and
-    the semigroup state and compared with m_k(t); the unit-gauge word u_t^k
-    is included as the degenerate case.
+    tau((v u_t v*)^k) is evaluated in the field's product of a Haar state
+    and the semigroup state and compared with m_k(t); the unit-gauge word
+    u_t^k is included as the degenerate case.
     """
     report = CheckReport("gauge invariance (scalar)", _TOL)
     for t in (0.5, 1.0, 2.0):
         t_eff = t * field.t_scale
-        ps = product_state([haar_unitary_state(), state_at(t_eff)], "free")
+        ps = product_state([haar_unitary_state(), state_at(t_eff)], field.product)
         for k in range(1, kmax + 1):
             want = fubm_moment(t_eff, k)
             conj = ps.moment(((0, 1), (1, 1), (0, -1)) * k)

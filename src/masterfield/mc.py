@@ -443,9 +443,10 @@ def estimate_wilson_many(lassos, words, cfg):
 
     The words are walked once, in order, and a word's letters are checked
     when the walk reaches it, so a bad letter fails after the lassos'
-    matrices are evolved.  A letter's matrix, its lasso's adjoint where
-    the exponent is not the orientation, is kept while consecutive words
-    read it.
+    matrices are evolved.  A letter object, and its matrix (its lasso's
+    adjoint where the exponent is not the orientation), are kept while
+    consecutive words read it, so the powers of a word check each of its
+    letters once.
     """
     lassos = list(lassos)
     areas, orients = [], []
@@ -468,9 +469,16 @@ def estimate_wilson_many(lassos, words, cfg):
         orients.append(sign)
 
     mats = _lasso_matrices(cfg, areas)
-    out, prev, prod, table = [], [], None, {}
+    out, prev, prod, table, checked = [], [], None, {}, {}
     for word in words:
-        letters = [_letter(letter, len(lassos)) for letter in word]
+        # Keyed by identity, since a raw (0.0, 1) equals a valid (0, 1);
+        # each entry holds its letter, so its id names no other object.
+        kept, checked, letters = checked, {}, []
+        for letter in word:
+            key = id(letter)
+            if key not in checked:
+                checked[key] = kept.get(key) or (letter, _letter(letter, len(lassos)))
+            letters.append(checked[key][1])
         table = {
             (idx, expo): table[idx, expo] if (idx, expo) in table
             else mats[idx] if orients[idx] == expo

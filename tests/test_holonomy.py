@@ -121,10 +121,13 @@ def test_boolean_and_tensor_fields_are_negative_controls():
     free, boolean, tensor = (HolonomyField(product) for product in HolonomyField.PRODUCTS)
     assert check_braid_invariance(free).ok and check_braid_invariance(tensor).ok
     assert check_infinite_divisibility(free).ok
+    assert check_gauge_invariance_scalar(tensor).max_deviation == 0
     for check, field, deviation in (
         (check_braid_invariance, boolean, math.exp(-1)),
         (check_infinite_divisibility, boolean, math.exp(-1)),
         (check_infinite_divisibility, tensor, math.exp(-2)),
+        # the conjugated word at t = 1/2, k = 1: e^{-1/4} against 0
+        (check_gauge_invariance_scalar, boolean, math.exp(-0.25)),
     ):
         report = check(field)
         assert not report.ok and report.max_deviation == pytest.approx(deviation, abs=1e-12)
@@ -415,6 +418,19 @@ def test_one_field_matches_a_fresh_field_per_loop(product):
             assert evaluate(field, w, k).value == want[w, k]
 
 
+def _cyclic_core(letters):
+    """The lasso word with first and last letters that are mutual inverses stripped."""
+    letters = list(letters)
+    while len(letters) > 1 and letters[0] == (letters[-1][0], -letters[-1][1]):
+        letters = letters[1:-1]
+    return letters
+
+
+def _reads_each_face_once(letters):
+    faces = [i for i, _ in _cyclic_core(letters)]
+    return len(set(faces)) == len(faces)
+
+
 def test_field_holds_one_state_per_area_tuple():
     rng = np.random.default_rng(3)
     words = list(DEFAULT_CORPUS) + [random_loop(rng).word for _ in range(100)]
@@ -423,14 +439,68 @@ def test_field_holds_one_state_per_area_tuple():
         evaluate(field, w, 2)
     contexts = field._contexts
     assert set(contexts) == {Loop(w).word for w in words}
-    for w, (loop, *shape) in contexts.items():
+    tuples = set()
+    for w, (loop, *shape, _) in contexts.items():
         assert loop == Loop(w)
         assert tuple(shape) == _lasso_word(Loop(w), field.tree_priority)
-    tuples = {areas for _, _, areas in contexts.values()}
+        # a core that reads each face once is one face of the summed area
+        letters, areas = shape
+        core = _cyclic_core(letters)
+        tuples.add((sum(areas[i] for i, _ in core),) if _reads_each_face_once(letters) else areas)
     assert set(field._states) == tuples
     assert len(field._states) < len(contexts)
     fresh = HolonomyField()
     assert fresh._contexts == {} and fresh._states == {}
+
+
+def _corpus_and_random_words(count, seed):
+    rng = np.random.default_rng(seed)
+    return list(DEFAULT_CORPUS) + [random_loop(rng).word for _ in range(count)]
+
+
+@pytest.mark.parametrize("priority", ["NESW", "WSEN"])
+@pytest.mark.parametrize("t_scale", [1.0, 0.37])
+def test_free_values_match_the_dp_on_the_loops_own_shape(priority, t_scale):
+    # evaluate reads a shape with the loop's law; the DP on the lasso word
+    # and face areas the loop itself gives is the reference
+    field = HolonomyField(t_scale=t_scale, tree_priority=priority)
+    for w in _corpus_and_random_words(200, 31):
+        loop = Loop(w)
+        letters, areas = _lasso_word(loop, priority)
+        state = holonomy._state(field, loop, areas)
+        for k in range(1, 6):
+            want = state.moment(letters * k)
+            assert evaluate(field, w, k).value == pytest.approx(want, abs=1e-12), (w, k)
+
+
+def test_a_core_reading_each_face_once_takes_no_first_block_walk(monkeypatch):
+    walks = _count_calls(monkeypatch, freeprob, "_first_block")
+    once = 0
+    for w in _corpus_and_random_words(200, 31):
+        if _reads_each_face_once(_lasso_word(Loop(w), "NESW")[0]):
+            once += 1
+            field = HolonomyField()
+            for k in range(1, 6):
+                evaluate(field, w, k)
+            assert walks == [], w
+    assert once > 100
+
+
+@pytest.mark.parametrize("word", ["NESENWSW", "NESWSENW"])
+def test_the_figure_eight_at_power_one_hundred(word):
+    # two unit faces read once each: the motion at time 2
+    field = HolonomyField()
+    assert evaluate(field, word, 100).value == pytest.approx(fubm_moment(2.0, 100), abs=1e-12)
+    assert list(field._states) == [(2,)]
+
+
+def test_a_summed_area_that_is_no_finite_time_keeps_the_loops_shape():
+    # each face of the figure eight is a finite time, their sum is not
+    field = HolonomyField(t_scale=1e308)
+    assert evaluate(field, "NESENWSW", 1).value == 0
+    assert list(field._states) == [(1, 1)]
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate(field, "NNESSW", 1)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -523,7 +593,7 @@ def test_each_face_cumulant_is_solved_once_per_rotation_class(monkeypatch):
 # Pinned digest of the exact route: `repr` of every value below.  A change
 # that moves exact values by up to 1e-12 (such as peeling faces that occur
 # once) re-pins it and says so in CHANGES.md.
-GOLDEN_EVALUATE = "4188564defee5d894eb398bf4310f227f43666a218f4218dab6b5587067135f6"
+GOLDEN_EVALUATE = "d274c2b68683a3e6d4f1bdef188f14e2d117eee24d6477d3cedfc327e00fcf68"
 
 
 def test_evaluate_golden_digest():

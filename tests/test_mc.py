@@ -631,6 +631,32 @@ def test_powers_are_walked_one_word_at_a_time():
     assert peak < 1 << 20
 
 
+def test_each_letter_object_is_checked_once_across_powers(monkeypatch):
+    # Powers 1..500 of a one-letter word read one letter object, so it is
+    # checked once (two as_int calls), not once per letter of each power.
+    cfg = MatrixSamplerConfig(N=2, samples=2, seed=1, step_count=50)
+    letter = (0, 1)
+    want = [estimate_wilson_many([(1.0, 1)], [(letter,) * k], cfg)[0] for k in (1, 2, 500)]
+    calls = []
+    real = mc.as_int
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(mc, "as_int", counted)
+    got = estimate_wilson_many([(1.0, 1)], ((letter,) * k for k in range(1, 501)), cfg)
+    assert len(calls) <= 1 + 2  # the lasso's orientation, then the letter
+    assert [(got[k - 1].mean, got[k - 1].stderr) for k in (1, 2, 500)] == [
+        (w.mean, w.stderr) for w in want
+    ]
+    # a letter equal to a checked one is still checked, and refused
+    calls.clear()
+    with pytest.raises(ValueError, match="letter must be"):
+        estimate_wilson_many([(1.0, 1)], [[letter], [letter, (0.0, 1)]], cfg)
+    assert len(calls) == 1 + 2 + 1 and isinstance(calls[-1], float)
+
+
 def test_each_adjoint_is_built_once_across_powers(monkeypatch):
     # Powers 1..3 of one word read the same letters, so each inverse
     # letter's adjoint is built once and kept from one power to the next.
